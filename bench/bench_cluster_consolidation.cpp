@@ -79,9 +79,10 @@
 //
 // Every invocation also reports the sparse driver's dispatch counters in
 // the `engine{...}` JSON block (segments / dispatches / bulk_skips /
-// active_fraction / pool_grain, taken from the scale run when present,
-// else the 8x64 fast run); --require-active-fraction=X turns the fraction
-// into a CI ceiling on the scale tier (full runs only, --smoke exempt).
+// catch_ups / active_fraction / pool_grain, taken from the scale run when
+// present, else the 8x64 fast run); --require-active-fraction=X turns the
+// fraction into a CI ceiling on the scale tier (full runs only, --smoke
+// exempt).
 //
 // --federation=K adds the FEDERATION tier: K hosting-cluster shards (the
 // same per-shard recipe, shard 0 skew-loaded with a quarter of the last
@@ -135,6 +136,7 @@
 #include "scenario/federation_scenario.hpp"
 #include "scenario/hosting_cluster.hpp"
 #include "workload/trace_replay.hpp"
+#include "machine.hpp"
 
 namespace {
 
@@ -190,6 +192,8 @@ bool clusters_identical(pas::cluster::Cluster& a, pas::cluster::Cluster& b) {
       }
     }
     if (a.host(h).idle_time() != b.host(h).idle_time()) return false;
+    // Energy integrates per-P-state integer time: exact across engines.
+    if (a.host_energy_joules(h) != b.host_energy_joules(h)) return false;
   }
   if (a.migrations().size() != b.migrations().size()) return false;
   for (std::size_t i = 0; i < a.migrations().size(); ++i) {
@@ -865,11 +869,12 @@ int main(int argc, char** argv) {
   // consolidates).
   std::string engine_json;
   {
-    std::printf("\n  engine: %llu segment(s), %llu dispatch(es), %llu bulk skip(s)   "
-                "active fraction %.3f   pool grain %zu\n",
+    std::printf("\n  engine: %llu segment(s), %llu dispatch(es), %llu bulk skip(s), "
+                "%llu catch-up(s)   active fraction %.3f   pool grain %zu\n",
                 static_cast<unsigned long long>(engine_stats.segments),
                 static_cast<unsigned long long>(engine_stats.dispatches),
                 static_cast<unsigned long long>(engine_stats.bulk_skips),
+                static_cast<unsigned long long>(engine_stats.catch_ups),
                 engine_stats.active_fraction(), engine_grain);
     char buf[512];
     std::snprintf(buf, sizeof(buf),
@@ -877,11 +882,13 @@ int main(int argc, char** argv) {
                   "    \"segments\": %llu,\n"
                   "    \"dispatches\": %llu,\n"
                   "    \"bulk_skips\": %llu,\n"
+                  "    \"catch_ups\": %llu,\n"
                   "    \"active_fraction\": %.6f,\n"
                   "    \"pool_grain\": %zu\n  },\n",
                   static_cast<unsigned long long>(engine_stats.segments),
                   static_cast<unsigned long long>(engine_stats.dispatches),
                   static_cast<unsigned long long>(engine_stats.bulk_skips),
+                  static_cast<unsigned long long>(engine_stats.catch_ups),
                   engine_stats.active_fraction(), engine_grain);
     engine_json = buf;
   }
@@ -917,6 +924,7 @@ int main(int argc, char** argv) {
     std::snprintf(buf, sizeof(buf),
                   "{\n"
                   "  \"bench\": \"cluster_consolidation\",\n"
+                  "%s"
                   "  \"scenario\": \"hosting_cluster_%zux%zu\",\n"
                   "  \"fleet\": \"%s\",\n"
                   "  \"hosts\": %zu,\n"
@@ -926,7 +934,8 @@ int main(int argc, char** argv) {
                   "  \"fast\": {\"wall_seconds\": %.6f, \"sim_per_wall\": %.1f},\n"
                   "  \"speedup\": %.3f,\n"
                   "  \"traces_identical\": %s,\n",
-                  hosts, vms, fleet.c_str(), hosts, vms, horizon_s, slow_wall, slow_rate,
+                  pas::bench::machine_json().c_str(), hosts, vms, fleet.c_str(), hosts, vms,
+                  horizon_s, slow_wall, slow_rate,
                   fast_wall, fast_rate, speedup, identical ? "true" : "false");
     js << buf;
     js << parallel_json;

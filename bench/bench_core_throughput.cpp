@@ -25,6 +25,7 @@
 #include "workload/pi_app.hpp"
 #include "workload/synthetic.hpp"
 #include "workload/web_app.hpp"
+#include "machine.hpp"
 
 namespace {
 
@@ -114,6 +115,8 @@ bool traces_identical(const pas::hv::Host& a, const pas::hv::Host& b) {
     }
   }
   if (a.idle_time() != b.idle_time()) return false;
+  // Energy integrates per-P-state integer time: exact across loops.
+  if (a.energy().joules() != b.energy().joules()) return false;
   for (pas::common::VmId v = 0; v < a.vm_count(); ++v) {
     if (a.vm(v).total_busy != b.vm(v).total_busy ||
         a.vm(v).total_work != b.vm(v).total_work)
@@ -186,6 +189,7 @@ int main(int argc, char** argv) {
     std::snprintf(buf, sizeof(buf),
                   "{\n"
                   "  \"bench\": \"core_throughput\",\n"
+                  "%s"
                   "  \"scenario\": \"hosting_center_32vm\",\n"
                   "  \"vms\": %zu,\n"
                   "  \"simulated_seconds\": %ld,\n"
@@ -194,7 +198,8 @@ int main(int argc, char** argv) {
                   "  \"speedup\": %.3f,\n"
                   "  \"traces_identical\": %s\n"
                   "}\n",
-                  kVmCount, horizon_s, slow_wall, slow_rate, fast_wall, fast_rate,
+                  pas::bench::machine_json().c_str(), kVmCount, horizon_s, slow_wall,
+                  slow_rate, fast_wall, fast_rate,
                   speedup, identical ? "true" : "false");
     js << buf;
     std::printf("  written to %s\n", out.c_str());

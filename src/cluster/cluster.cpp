@@ -269,6 +269,7 @@ void Cluster::install_periodic_tasks() {
   const common::SimTime window = cfg_.host.monitor_window;
   tasks_.push_back(std::make_unique<sim::PeriodicTask>(
       events_, window, window, [this](common::SimTime t) { sample_sla(t); }));
+  sla_task_ = tasks_.back().get();
 
   if (manager_) {
     const common::SimTime p = manager_->period();
@@ -279,15 +280,25 @@ void Cluster::install_periodic_tasks() {
 
 void Cluster::sample_sla(common::SimTime /*now*/) {
   const common::SimTime window = cfg_.host.monitor_window;
-  for (GlobalVmId gid = 0; gid < vm_cfgs_.size(); ++gid) {
-    // Paused VMs are accounted at attach time; orphaned VMs at restart
-    // time; lost VMs stop accruing windows at the crash.
-    if (vm_state_[gid] != VmState::kRunning) continue;
-    if (engine_->detached(gid)) continue;  // pause accounted at attach time
-    const hv::Host& h = *hosts_[home_[gid]];
-    const common::VmId s = home_slot_[gid];
-    sla_.record_window(gid, window, h.monitor().vm_absolute_load_pct(s),
-                       h.vm_saturated_last_window(s));
+  for (HostId host = 0; host < hosts_.size(); ++host) {
+    hv::Host& h = *hosts_[host];
+    // The sampler is the one cluster event that may run while hosts lag
+    // (run_until skips the sync when it fires alone). That is sound
+    // because a lagging host's certificate pins its monitor at zero and
+    // its saturation flags at false — the very values it would read after
+    // catching up.
+    assert(h.now() == now_ || h.next_activity_time() > now_);
+    // SlaChecker ignores unsaturated windows, so a host that saturated no
+    // VM has nothing to report.
+    if (!h.any_saturated_last_window()) continue;
+    for (const auto& [gid, s] : host_slots_[host]) {
+      // Paused VMs are accounted at attach time; orphaned VMs at restart
+      // time; lost VMs stop accruing windows at the crash.
+      if (home_[gid] != host || vm_state_[gid] != VmState::kRunning) continue;
+      if (engine_->detached(gid)) continue;  // pause accounted at attach time
+      sla_.record_window(gid, window, h.monitor().vm_absolute_load_pct(s),
+                         h.vm_saturated_last_window(s));
+    }
   }
 }
 
@@ -574,24 +585,34 @@ ClusterVmStats Cluster::vm_stats(GlobalVmId vm) const {
 void Cluster::advance_hosts(common::SimTime target) {
   ++engine_stats_.segments;
   // Activity partition, on the coordinating thread: a host whose
-  // quiescence certificate covers the whole segment is crossed in one
-  // bulk skip (energy chunks, trace rows and periodic-event order all
-  // byte-identical to running it — hv::Host::skip_idle_to); the rest
-  // form the active list. The partition reads only per-host state, so
-  // its outcome — and therefore every dispatched computation — is
-  // independent of thread count.
+  // quiescence certificate covers the whole segment is left where it is —
+  // it lags, and a later Host::skip_idle_to crosses every lagged segment
+  // at once (energy, trace rows and periodic-event order all
+  // byte-identical to running it, whatever the chunking). The rest form
+  // the active list; a lagging one first catches up to the segment start,
+  // which keeps the quantum grid anchored where the stepped loop has it.
+  // The partition reads only per-host state, so its outcome — and
+  // therefore every dispatched computation — is independent of thread
+  // count.
   active_hosts_.clear();
   for (std::size_t h = 0; h < hosts_.size(); ++h) {
-    if (hosts_[h]->next_activity_time() > target) {
-      hosts_[h]->skip_idle_to(target);
+    hv::Host& host = *hosts_[h];
+    if (host.next_activity_time() > target) {
       ++engine_stats_.bulk_skips;
-    } else {
-      active_hosts_.push_back(h);
+      continue;
     }
+    if (host.now() < now_) ++engine_stats_.catch_ups;
+    active_hosts_.push_back(h);
   }
   engine_stats_.dispatches += active_hosts_.size();
+  const common::SimTime start = now_;
+  const auto step = [this, start, target](std::size_t h) {
+    hv::Host& host = *hosts_[h];
+    host.skip_idle_to(start);  // no-op unless lagging
+    host.run_until(target);
+  };
   if (!pool_) {  // serial driver
-    for (const std::size_t h : active_hosts_) hosts_[h]->run_until(target);
+    for (const std::size_t h : active_hosts_) step(h);
     return;
   }
   // Pooled driver: each index touches exactly one host and hosts share no
@@ -601,9 +622,16 @@ void Cluster::advance_hosts(common::SimTime target) {
   // picture before any cluster event can look. Only active hosts pay the
   // dispatch; the grain batches them per shared-counter hit.
   pool_->parallel_for(
-      active_hosts_.size(),
-      [this, target](std::size_t k) { hosts_[active_hosts_[k]]->run_until(target); },
+      active_hosts_.size(), [this, &step](std::size_t k) { step(active_hosts_[k]); },
       cfg_.execution.pool_grain);
+}
+
+void Cluster::sync_hosts() {
+  for (auto& host : hosts_) {
+    if (host->now() == now_) continue;
+    host->skip_idle_to(now_);
+    ++engine_stats_.catch_ups;
+  }
 }
 
 void Cluster::run_until(common::SimTime until) {
@@ -644,12 +672,18 @@ void Cluster::run_until(common::SimTime until) {
       advance_hosts(next_event);
       now_ = next_event;
     }
+    // Lagging hosts must be caught up before an event may touch them. The
+    // SLA sampler firing alone is the exception (see sample_sla): it is
+    // the event of nearly every instant on an idle fleet.
+    if (!(events_.sole_due(now_) && sla_task_->next_due() == now_)) sync_hosts();
     events_.run_until(now_);
     // The queue removes cancelled entries eagerly, so firing leaves the
     // head strictly in the future (or the queue empty) — the invariant
     // that lets the next iteration trust a single peek.
     assert(events_.next_event_time(until) > now_ || events_.empty());
   }
+  // Callers read hosts between run_until calls: hand back a synced fleet.
+  sync_hosts();
 }
 
 }  // namespace pas::cluster

@@ -26,20 +26,14 @@ class PowerModel {
 
   /// Instantaneous power at frequency ratio `ratio` (F/Fmax) and utilization
   /// `util` in [0,1].
-  ///
-  /// Bit-exact fast paths: at util == 0 the pow term multiplies to +0.0
-  /// whatever its value (ratio > 0 keeps it finite), so idle intervals —
-  /// the overwhelming majority of records on a consolidated fleet — skip
-  /// libm entirely; otherwise pow(ratio, alpha) is memoized on the last
-  /// ratio, which only moves on a DVFS transition. Both return exactly
-  /// the doubles the plain expression would.
   [[nodiscard]] double power_watts(double ratio, double util) const {
-    if (util == 0.0) return idle_w_;
-    if (ratio != pow_ratio_) {
-      pow_ratio_ = ratio;
-      pow_cache_ = std::pow(ratio, alpha_);
-    }
-    return idle_w_ + (busy_max_w_ - idle_w_) * util * pow_cache_;
+    return idle_w_ + (busy_max_w_ - idle_w_) * util * std::pow(ratio, alpha_);
+  }
+
+  /// Power drawn above idle while fully busy at `ratio`: the per-P-state
+  /// coefficient of busy time (metrics::EnergyMeter integrates it exactly).
+  [[nodiscard]] double dynamic_watts(double ratio) const {
+    return (busy_max_w_ - idle_w_) * std::pow(ratio, alpha_);
   }
 
   /// Energy in joules for running `dt` at the given operating point.
@@ -55,10 +49,6 @@ class PowerModel {
   double idle_w_;
   double busy_max_w_;
   double alpha_;
-  /// pow(ratio, alpha) memo for power_watts; per-instance, so parallel
-  /// hosts (each owning its meter's model copy) never share it.
-  mutable double pow_ratio_ = -1.0;
-  mutable double pow_cache_ = 0.0;
 };
 
 }  // namespace pas::cpu

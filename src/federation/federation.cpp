@@ -73,8 +73,7 @@ void Federation::run_until(common::SimTime until) {
   if (!started_) {
     // A single shard schedules NOTHING here: no planner (nothing to
     // balance), no links. The loop below then degenerates to one
-    // advance_shards per call — byte-exact to driving the bare Cluster,
-    // because extra segment cuts would reorder its FP energy summation.
+    // advance_shards per call — byte-exact to driving the bare Cluster.
     if (shards_.size() > 1) {
       const common::SimTime p = cfg_.planner.period;
       planner_task_ = std::make_unique<sim::PeriodicTask>(

@@ -18,8 +18,7 @@
 // across fast/slow paths and thread counts exactly like a single cluster.
 // With K = 1 the federation schedules NO events at all (nothing to
 // balance, no links), so its run loop degenerates to one run_until per
-// call — byte-exact to driving the bare Cluster, FP summation order
-// included.
+// call — byte-exact to driving the bare Cluster.
 //
 // Cross-shard migration reuses the cluster's MigrationEngine wholesale:
 // each unordered shard pair owns one engine built from its link's

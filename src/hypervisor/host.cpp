@@ -13,7 +13,7 @@ Host::Host(HostConfig config, std::unique_ptr<Scheduler> scheduler)
       cpufreq_(cpu_, config.cpufreq_transition_latency),
       scheduler_(std::move(scheduler)),
       monitor_(config.monitor_window, config.monitor_depth),
-      energy_(config.power) {
+      energy_(config.power, config.ladder) {
   if (scheduler_ == nullptr) throw std::invalid_argument("Host: scheduler required");
   if (cfg_.quantum.us() <= 0) throw std::invalid_argument("Host: quantum must be positive");
   if (cfg_.speed_override) cpu_.set_speed_override(cfg_.speed_override);
@@ -156,10 +156,13 @@ void Host::install_periodic_tasks() {
 }
 
 void Host::close_monitor_window(common::SimTime now) {
+  any_saturated_last_window_ = false;
   for (const auto& vm : vms_) {
     // A VM that wanted the CPU for (almost) the whole window is saturated:
     // it would have used more capacity had the scheduler granted it.
-    saturated_last_window_[vm.id] = window_wanting_fraction(vm.id) >= 0.95;
+    const bool saturated = window_wanting_fraction(vm.id) >= 0.95;
+    saturated_last_window_[vm.id] = saturated;
+    any_saturated_last_window_ = any_saturated_last_window_ || saturated;
   }
   monitor_.close_window(now);
   for (auto& vm : vms_) vm.window_wanting = common::SimTime{};
@@ -282,7 +285,6 @@ common::SimTime Host::next_poll_boundary(common::SimTime hint) const {
 }
 
 void Host::run_quantum(common::SimTime slice_end) {
-  const double ratio = cpu_.current_ratio();
   refresh_workloads();
 
   idle_tail_ = IdleTail::kNone;
@@ -349,16 +351,13 @@ void Host::run_quantum(common::SimTime slice_end) {
     monitor_.record_run(chosen, busy, done);
     v.total_busy += busy;
     v.total_work += done;
-    energy_.record(busy, ratio, busy);
     for (common::VmId r : runnable) vms_[r].window_wanting += busy;
     t += busy;
   }
 
-  if (t < slice_end) {
-    const common::SimTime idle = slice_end - t;
-    idle_total_ += idle;
-    energy_.record(idle, ratio, common::SimTime{});
-  }
+  // Events never fire mid-slice, so the whole slice ran at one P-state.
+  idle_total_ += slice_end - t;
+  energy_.record(slice_end - now_, cpu_.current_index(), t - now_);
 }
 
 void Host::skip_idle_time(common::SimTime until) {
@@ -402,7 +401,7 @@ void Host::skip_idle_time(common::SimTime until) {
     // set is constant across the whole span.
     for (common::VmId r : active_ids_) vms_[r].window_wanting += span;
     idle_total_ += span;
-    energy_.record(span, cpu_.current_ratio(), common::SimTime{});
+    energy_.record(span, cpu_.current_index(), common::SimTime{});
     now_ = target;
     return;
   }
@@ -426,7 +425,7 @@ void Host::skip_idle_time(common::SimTime until) {
     if (stop > now_) {
       const common::SimTime span = stop - now_;
       idle_total_ += span;
-      energy_.record(span, cpu_.current_ratio(), common::SimTime{});
+      energy_.record(span, cpu_.current_index(), common::SimTime{});
       now_ = stop;
     }
     if (stop < seg_end) break;  // woke for the hint: re-poll in run_until
@@ -461,8 +460,8 @@ common::SimTime Host::compute_next_activity() const {
   // smoothing rings.
   if (!scheduler_->refill_settled()) return now_;
   if (!monitor_.idle_settled()) return now_;
-  // The host schedules exclusively through its periodic tasks; the merge
-  // in skip_idle_to relies on that being the whole queue.
+  // The host schedules exclusively through its periodic tasks; the closed
+  // form in skip_idle_to relies on that being the whole queue.
   assert(events_.pending() == tasks_.size());
   // Inert until the earliest workload self-transition (kNoTransition for
   // a host of pure idlers: skippable to any horizon).
@@ -493,97 +492,52 @@ void Host::skip_idle_to(common::SimTime target) {
   } guard{advancing_};
   advancing_.store(true, std::memory_order_relaxed);
 
-  // What the reference loop would do from a quiescent state: one
-  // quantum-bounded idle chunk (run_quantum), then skip_idle_time hopping
-  // event instant to event instant, firing the periodic tasks in exact
-  // (time, seq) order — each a state no-op except the trace sampler —
-  // and recording one idle energy chunk per hop. Frequency cannot change
-  // (no governor/controller and nothing runs), so one ratio read serves
-  // every chunk, exactly as each reference segment would have read it.
-  const double ratio = cpu_.current_ratio();
-
-  // Local merge simulation over the periodic tasks. Seqs start above
-  // every live entry and grow per simulated fire, mirroring the queue's
-  // global counter (a rearm always draws a fresh, largest seq).
-  skip_entries_.clear();
-  std::uint64_t local_seq = 0;
-  common::SimTime first_due = target;
-  for (std::size_t i = 0; i < tasks_.size(); ++i) {
-    SkipEntry e;
-    e.due = tasks_[i]->next_due();
-    e.period = tasks_[i]->period();
-    e.seq = tasks_[i]->pending_seq();
-    e.task = i;
-    assert(e.seq != 0 && e.due > now_);
-    local_seq = std::max(local_seq, e.seq);
-    first_due = std::min(first_due, e.due);
-    skip_entries_.push_back(e);
+  // What the reference loop would do from a quiescent state: idle quanta
+  // and event hops, firing the periodic tasks in exact (time, seq) order —
+  // each a state no-op except the trace sampler. Frequency cannot change
+  // (no governor/controller and nothing runs), so the whole span is one
+  // idle energy record, and the fires are counted in closed form: task i
+  // fires k_i = (target - due_i) / period_i + 1 times.
+  skip_fires_.clear();
+  for (const auto& task : tasks_) {
+    skip_fires_.push_back({task->next_due(), task->period(), task->pending_seq()});
+    assert(skip_fires_.back().seq != 0 && skip_fires_.back().due > now_);
   }
-  ++local_seq;
+  sim::order_last_fires(skip_fires_, target, skip_order_);
 
-  // Chunk 1: the slice run_quantum would have cut at the quantum, the
-  // target or the first event — whichever is earliest.
-  common::SimTime prev = now_;
-  {
-    const common::SimTime b0 = std::min({now_ + cfg_.quantum, target, first_due});
-    if (b0 > prev) {
-      energy_.record(b0 - prev, ratio, common::SimTime{});
-      prev = b0;
-    }
-  }
-
-  // Fire merge: pop the earliest (due, seq) entry up to and including the
-  // target (the reference's trailing events_.run_until fires events due
-  // exactly at `until`). Distinct instants bound energy chunks; the trace
-  // task's fires collect rows.
-  skip_trace_times_.clear();
-  for (;;) {
-    SkipEntry* best = nullptr;
-    for (auto& e : skip_entries_) {
-      if (e.due > target) continue;
-      if (best == nullptr || e.due < best->due ||
-          (e.due == best->due && e.seq < best->seq))
-        best = &e;
-    }
-    if (best == nullptr) break;
-    if (best->due > prev) {
-      energy_.record(best->due - prev, ratio, common::SimTime{});
-      prev = best->due;
-    }
-    if (best->task == trace_task_index_) skip_trace_times_.push_back(best->due);
-    best->seq = local_seq++;
-    best->fired = true;
-    best->due += best->period;
-  }
-  if (target > prev) energy_.record(target - prev, ratio, common::SimTime{});
-
+  energy_.record(target - now_, cpu_.current_index(), common::SimTime{});
   idle_total_ += target - now_;
   now_ = target;
 
-  if (!skip_trace_times_.empty()) {
+  if (trace_task_index_ < skip_fires_.size()) {
     // Every skipped trace row is the same constant row the sampler would
-    // have built: loads zero, caps and frequency unchanged.
-    trace_scratch_credit_.clear();
-    for (const auto& vm : vms_)
-      trace_scratch_credit_.push_back(scheduler_->cap(vm.id));
-    trace_->append_idle_rows(skip_trace_times_, cpu_.current_freq().value(),
-                             trace_scratch_credit_);
+    // have built, at the sampler's arithmetic fire times: loads zero, caps
+    // and frequency unchanged.
+    const sim::PendingFire& f = skip_fires_[trace_task_index_];
+    const std::int64_t rows = sim::fires_through(f, target);
+    if (rows > 0) {
+      skip_trace_times_.clear();
+      for (std::int64_t r = 0; r < rows; ++r) skip_trace_times_.push_back(f.due + f.period * r);
+      trace_scratch_credit_.clear();
+      for (const auto& vm : vms_) trace_scratch_credit_.push_back(scheduler_->cap(vm.id));
+      trace_->append_idle_rows(skip_trace_times_, cpu_.current_freq().value(),
+                               trace_scratch_credit_);
+    }
   }
 
-  // Re-arm fired tasks at their simulated dues, in ascending final-seq
-  // order: each rearm draws a fresh (largest) real seq, so the live
-  // queue's relative (time, seq) order — the only observable — matches
-  // the reference exactly. Unfired tasks keep their older (smaller) seqs,
-  // as they would have in the reference.
-  std::sort(skip_entries_.begin(), skip_entries_.end(),
-            [](const SkipEntry& a, const SkipEntry& b) { return a.seq < b.seq; });
-  for (const SkipEntry& e : skip_entries_)
-    if (e.fired) tasks_[e.task]->advance_to(e.due);
+  // Re-arm fired tasks after their last fire, in the dispatch order of
+  // those last fires: each rearm draws a fresh (largest) real seq, so the
+  // live queue's relative (time, seq) order — the only observable —
+  // matches the reference exactly. Unfired tasks keep their older
+  // (smaller) seqs, as they would have in the reference.
+  for (const std::size_t i : skip_order_)
+    tasks_[i]->advance_to(sim::next_due_after(skip_fires_[i], target));
 
   // Quiescence survives a skip by construction (nothing above re-polls a
   // workload or moves scheduler/monitor state), so the certificate —
   // bounded by the unchanged transition hints — stays valid: no
-  // activity_dirty_ here. The skip itself cost O(fires), not O(span).
+  // activity_dirty_ here. The skip costs O(tasks + trace rows), not
+  // O(span) or O(fires).
 }
 
 void Host::run_until(common::SimTime until) {

@@ -112,18 +112,20 @@ class Host {
   /// scheduler credits at their refill fixed point, monitor reading
   /// all-zero — until the earliest workload self-transition hint. The
   /// sparse cluster driver (Cluster::advance_hosts) dispatches a host
-  /// only when this falls at or before the segment target and bulk-skips
-  /// it otherwise. The certificate is cached and invalidated by every
-  /// mutation hatch (run_until, add_vm, notify_workload_changed, the
-  /// non-const accessors), so calling this per segment is O(1) for an
-  /// undisturbed idle host.
+  /// only when this falls at or before the segment target and otherwise
+  /// leaves it lagging, to be caught up later by skip_idle_to. The
+  /// certificate is cached and invalidated by every mutation hatch
+  /// (run_until, add_vm, notify_workload_changed, the non-const
+  /// accessors), so calling this per segment is O(1) for an undisturbed
+  /// idle host.
   [[nodiscard]] common::SimTime next_activity_time();
 
   /// Bulk-advances a quiescent host to `target`, byte-identical to
-  /// run_until(target): the exact energy chunks the reference loop would
-  /// record (one per merged periodic-fire instant), the exact trace rows
-  /// (bulk zero-fill at the trace stride), the exact relative (time, seq)
-  /// order of the re-armed periodic events. Precondition:
+  /// run_until(target): the same per-P-state energy integers (one idle
+  /// record for the span — the meter is chunking-independent), the exact
+  /// trace rows (bulk zero-fill at the trace stride), the exact relative
+  /// (time, seq) order of the re-armed periodic events, all in closed form
+  /// — O(periodic tasks + trace rows), whatever the span. Precondition:
   /// next_activity_time() >= target; falls back to run_until(target)
   /// when the certificate does not cover the span, so misuse costs time,
   /// never correctness.
@@ -185,6 +187,11 @@ class Host {
   [[nodiscard]] double window_wanting_fraction(common::VmId id) const;
   /// Saturation flag captured at the close of the last monitor window.
   [[nodiscard]] bool vm_saturated_last_window(common::VmId id) const;
+  /// True if any VM's saturation flag is set — a host with none has no
+  /// SLA-relevant window to report (SlaChecker ignores unsaturated ones).
+  [[nodiscard]] bool any_saturated_last_window() const {
+    return any_saturated_last_window_;
+  }
 
  private:
   /// How the last quantum's scheduling loop ended; drives the fast path.
@@ -230,6 +237,7 @@ class Host {
   std::vector<common::VmId> vm_ids_;
   std::vector<common::Percent> initial_credits_;
   std::vector<bool> saturated_last_window_;
+  bool any_saturated_last_window_ = false;  // OR of the flags above
   HostView view_;
 
   metrics::LoadMonitor monitor_;
@@ -249,16 +257,10 @@ class Host {
   common::SimTime activity_cache_{};
   bool activity_dirty_ = true;
 
-  // Scratch for skip_idle_to's periodic-fire merge (allocation-free after
-  // the first skip).
-  struct SkipEntry {
-    common::SimTime due;
-    common::SimTime period;
-    std::uint64_t seq = 0;   // simulated insertion sequence
-    std::size_t task = 0;    // index into tasks_
-    bool fired = false;
-  };
-  std::vector<SkipEntry> skip_entries_;
+  // Scratch for skip_idle_to's closed-form fire count (allocation-free
+  // after the first skip).
+  std::vector<sim::PendingFire> skip_fires_;
+  std::vector<std::size_t> skip_order_;
   std::vector<common::SimTime> skip_trace_times_;
   // True while run_until is in flight; guards the no-shared-state contract
   // (external mutators throw instead of racing a possibly-parallel segment).

@@ -65,10 +65,21 @@ class EventQueue {
   /// Time of the earliest pending event, or `fallback` if none.
   [[nodiscard]] common::SimTime next_event_time(common::SimTime fallback) const;
 
+  /// True when exactly one pending event is due at or before `until`. O(1):
+  /// the runner-up of a binary min-heap is one of the root's children. The
+  /// cluster reads this to recognise an instant where only its SLA sampler
+  /// fires, which may run without first syncing lagging hosts.
+  [[nodiscard]] bool sole_due(common::SimTime until) const {
+    if (heap_.empty() || slots_[heap_[0]].when > until) return false;
+    for (std::size_t child = 1; child <= 2 && child < heap_.size(); ++child)
+      if (slots_[heap_[child]].when <= until) return false;
+    return true;
+  }
+
   /// Insertion sequence of a pending event, or 0 if `id` is stale. Ties on
   /// time dispatch in ascending seq, so the host's bulk idle skip uses this
-  /// to replay the exact merge order the reference loop would have run the
-  /// periodic fires in (see hv::Host::skip_idle_to).
+  /// to reproduce the exact order the reference loop would have run the
+  /// periodic fires in (see sim::order_last_fires).
   [[nodiscard]] std::uint64_t seq_of(EventId id) const {
     if (id == kInvalidEvent) return 0;
     const std::uint32_t slot = static_cast<std::uint32_t>(id & 0xffffffff) - 1;

@@ -344,9 +344,9 @@ inline void expect_identical(Cluster& a, Cluster& b, std::uint64_t seed,
       ASSERT_EQ(ha.vm(v).window_wanting, hb.vm(v).window_wanting)
           << ctx << " host " << h << " vm " << v;
     }
-    ASSERT_NEAR(ha.energy().joules(), hb.energy().joules(),
-                1e-9 * (ha.energy().joules() + 1.0))
-        << ctx << " host " << h;
+    // Energy is an exact function of per-P-state integer time, so it too
+    // must agree to the bit.
+    ASSERT_EQ(ha.energy().joules(), hb.energy().joules()) << ctx << " host " << h;
   }
 
   // Cluster-level observables: migrations happened at the same instants
@@ -392,8 +392,7 @@ inline void expect_identical(Cluster& a, Cluster& b, std::uint64_t seed,
     ASSERT_EQ(a.powered_on(h), b.powered_on(h)) << ctx << " host " << h;
     ASSERT_EQ(a.crashed(h), b.crashed(h)) << ctx << " host " << h;
   }
-  ASSERT_NEAR(a.energy_joules(), b.energy_joules(), 1e-9 * (a.energy_joules() + 1.0))
-      << ctx;
+  ASSERT_EQ(a.energy_joules(), b.energy_joules()) << ctx;
 }
 
 }  // namespace pas::cluster::fuzz

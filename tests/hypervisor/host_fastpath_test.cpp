@@ -124,8 +124,8 @@ void expect_identical_runs(Sched kind, bool controller) {
       EXPECT_EQ(ra.vm_saturated[v], rb.vm_saturated[v]) << "row " << i << " vm " << v;
     }
   }
-  // Integer accounting is exactly equal; energy may differ only by
-  // floating-point summation order across idle chunks.
+  // Integer accounting is exactly equal — energy included: the meter
+  // integrates per-P-state integer time, so chunking cannot move it.
   EXPECT_EQ(slow->idle_time(), fast->idle_time());
   EXPECT_EQ(slow->cpufreq().transition_count(), fast->cpufreq().transition_count());
   for (common::VmId v = 0; v < slow->vm_count(); ++v) {
@@ -133,8 +133,7 @@ void expect_identical_runs(Sched kind, bool controller) {
     EXPECT_EQ(slow->vm(v).total_work, fast->vm(v).total_work) << "vm " << v;
     EXPECT_EQ(slow->vm(v).window_wanting, fast->vm(v).window_wanting) << "vm " << v;
   }
-  EXPECT_NEAR(slow->energy().joules(), fast->energy().joules(),
-              1e-6 * slow->energy().joules());
+  EXPECT_EQ(slow->energy().joules(), fast->energy().joules());
 }
 
 TEST(HostFastPathTest, TraceIdenticalToSlowLoopCredit) {

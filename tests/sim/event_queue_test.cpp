@@ -188,5 +188,25 @@ TEST(EventQueueTest, ManyEventsStressOrdering) {
   for (std::size_t i = 1; i < fired.size(); ++i) EXPECT_LE(fired[i - 1], fired[i]);
 }
 
+TEST(EventQueueTest, SoleDueCountsEventsAtOrBeforeBound) {
+  EventQueue q;
+  EXPECT_FALSE(q.sole_due(msec(100)));
+  const EventId a = q.schedule(msec(10), [](SimTime) {});
+  EXPECT_FALSE(q.sole_due(msec(9)));
+  EXPECT_TRUE(q.sole_due(msec(10)));
+  // Seven more events, all after the bound: still sole, whatever the heap
+  // shape.
+  for (int i = 0; i < 7; ++i) q.schedule(msec(20 + i), [](SimTime) {});
+  EXPECT_TRUE(q.sole_due(msec(10)));
+  EXPECT_FALSE(q.sole_due(msec(20)));
+  // A tie at the bound makes two due.
+  const EventId b = q.schedule(msec(10), [](SimTime) {});
+  EXPECT_FALSE(q.sole_due(msec(10)));
+  q.cancel(a);
+  EXPECT_TRUE(q.sole_due(msec(10)));
+  q.cancel(b);
+  EXPECT_FALSE(q.sole_due(msec(19)));
+}
+
 }  // namespace
 }  // namespace pas::sim
