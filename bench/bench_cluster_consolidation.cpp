@@ -79,10 +79,10 @@
 //
 // Every invocation also reports the sparse driver's dispatch counters in
 // the `engine{...}` JSON block (segments / dispatches / bulk_skips /
-// catch_ups / active_fraction / pool_grain, taken from the scale run when
-// present, else the 8x64 fast run); --require-active-fraction=X turns the
-// fraction into a CI ceiling on the scale tier (full runs only, --smoke
-// exempt).
+// catch_ups / refills_collapsed / active_fraction / pool_grain, taken from
+// the scale run when present, else the 8x64 fast run);
+// --require-active-fraction=X turns the fraction into a CI ceiling on the
+// scale tier (full runs only, --smoke exempt).
 //
 // --federation=K adds the FEDERATION tier: K hosting-cluster shards (the
 // same per-shard recipe, shard 0 skew-loaded with a quarter of the last
@@ -870,11 +870,13 @@ int main(int argc, char** argv) {
   std::string engine_json;
   {
     std::printf("\n  engine: %llu segment(s), %llu dispatch(es), %llu bulk skip(s), "
-                "%llu catch-up(s)   active fraction %.3f   pool grain %zu\n",
+                "%llu catch-up(s), %llu refill(s) collapsed   active fraction %.3f   "
+                "pool grain %zu\n",
                 static_cast<unsigned long long>(engine_stats.segments),
                 static_cast<unsigned long long>(engine_stats.dispatches),
                 static_cast<unsigned long long>(engine_stats.bulk_skips),
                 static_cast<unsigned long long>(engine_stats.catch_ups),
+                static_cast<unsigned long long>(engine_stats.refills_collapsed),
                 engine_stats.active_fraction(), engine_grain);
     char buf[512];
     std::snprintf(buf, sizeof(buf),
@@ -883,12 +885,14 @@ int main(int argc, char** argv) {
                   "    \"dispatches\": %llu,\n"
                   "    \"bulk_skips\": %llu,\n"
                   "    \"catch_ups\": %llu,\n"
+                  "    \"refills_collapsed\": %llu,\n"
                   "    \"active_fraction\": %.6f,\n"
                   "    \"pool_grain\": %zu\n  },\n",
                   static_cast<unsigned long long>(engine_stats.segments),
                   static_cast<unsigned long long>(engine_stats.dispatches),
                   static_cast<unsigned long long>(engine_stats.bulk_skips),
                   static_cast<unsigned long long>(engine_stats.catch_ups),
+                  static_cast<unsigned long long>(engine_stats.refills_collapsed),
                   engine_stats.active_fraction(), engine_grain);
     engine_json = buf;
   }

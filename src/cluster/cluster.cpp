@@ -582,6 +582,12 @@ ClusterVmStats Cluster::vm_stats(GlobalVmId vm) const {
   return stats;
 }
 
+EngineStats Cluster::engine_stats() const {
+  EngineStats stats = engine_stats_;
+  for (const auto& host : hosts_) stats.refills_collapsed += host->refills_collapsed();
+  return stats;
+}
+
 void Cluster::advance_hosts(common::SimTime target) {
   ++engine_stats_.segments;
   // Activity partition, on the coordinating thread: a host whose

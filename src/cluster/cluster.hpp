@@ -115,6 +115,9 @@ struct EngineStats {
   std::uint64_t dispatches = 0;  // hosts stepped the honest way
   std::uint64_t bulk_skips = 0;  // host-segments covered by a certificate
   std::uint64_t catch_ups = 0;   // Host::skip_idle_to calls executed
+  // Accounting refills crossed in closed form by over-cap hosts, summed
+  // over the fleet (Host::refills_collapsed; 0 on the reference engine).
+  std::uint64_t refills_collapsed = 0;
   [[nodiscard]] double active_fraction() const {
     const double total = static_cast<double>(dispatches + bulk_skips);
     return total > 0.0 ? static_cast<double>(dispatches) / total : 1.0;
@@ -442,7 +445,7 @@ class Cluster {
   }
 
   /// Sparse-driver dispatch counters for the run so far.
-  [[nodiscard]] const EngineStats& engine_stats() const { return engine_stats_; }
+  [[nodiscard]] EngineStats engine_stats() const;
 
  private:
   void install_periodic_tasks();

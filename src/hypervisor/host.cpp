@@ -387,8 +387,10 @@ void Host::skip_idle_time(common::SimTime until) {
   const common::SimTime hint = earliest_transition_hint();
 
   if (idle_tail_ == IdleTail::kOverCap) {
+    collapse_refills(until, hint);
     // Queue events change credits (accounting refill, controller set_cap),
-    // so an over-cap skip must stop at the next one.
+    // so past the refills collapsed above, an over-cap skip must stop at
+    // the next one.
     common::SimTime target = std::min(until, events_.next_event_time(until));
     if (hint < target) {
       if (hint <= now_) return;  // an "unknown" hint: re-poll every quantum
@@ -431,6 +433,44 @@ void Host::skip_idle_time(common::SimTime until) {
     if (stop < seg_end) break;  // woke for the hint: re-poll in run_until
     events_.run_until(now_);
   }
+}
+
+void Host::collapse_refills(common::SimTime until, common::SimTime hint) {
+  // An over-cap tail would wake at every accounting refill, fire it, run
+  // one idle quantum in which pick() rejects the same set again, and hop
+  // to the next refill. Every refill the scheduler proves non-reviving
+  // (account_while_rejected) is crossed here in one step instead. The
+  // span is bounded strictly before `until`, the earliest transition hint
+  // (so no workload poll inside it can change the active set) and the
+  // next due of every other periodic task (so the accounting task is the
+  // only one firing in it). The accounting task is always tasks_[0].
+  sim::PeriodicTask& acct = *tasks_[0];
+  common::SimTime bound = std::min(until, hint);
+  for (std::size_t i = 1; i < tasks_.size(); ++i)
+    bound = std::min(bound, tasks_[i]->next_due());
+  const common::SimTime first = acct.next_due();
+  if (first >= bound) return;
+  const common::SimTime period = acct.period();
+  const std::int64_t fires = (bound - first - common::usec(1)) / period + 1;
+  const std::int64_t n = scheduler_->account_while_rejected(active_ids_, fires);
+  if (n <= 0) return;
+  assert(n <= fires);
+  // Land on the n-th fire, as the reference would after firing it: the
+  // quantum grid re-anchors there, and the rejected set accrues wanting
+  // over the whole idle span, exactly as the per-refill hops would.
+  const common::SimTime last = first + period * (n - 1);
+  const common::SimTime span = last - now_;
+  for (const common::VmId r : active_ids_) vms_[r].window_wanting += span;
+  idle_total_ += span;
+  energy_.record(span, cpu_.current_index(), common::SimTime{});
+  now_ = last;
+  // The reference's last fire re-armed the task with the newest sequence;
+  // every other task last fired at or before the skip began, so a fresh
+  // sequence drawn now leaves the queue's (time, seq) order identical.
+  acct.advance_to(last + period);
+  refills_collapsed_ += n;
+  // Pick idempotence (scheduler.hpp) makes this check side-effect-free.
+  assert(scheduler_->pick(now_, active_ids_) == common::kInvalidVm);
 }
 
 common::SimTime Host::compute_next_activity() const {

@@ -13,11 +13,14 @@
 // time in one step to the next instant anything can change — the earliest
 // queue event, `until`, or the first quantum boundary at or after a
 // workload's self-transition hint (see Workload::next_transition_time) —
-// instead of idling quantum by quantum. The runnable set is maintained
-// incrementally from those hints rather than re-polled per quantum. Both
-// optimizations reproduce the slow-stepped loop exactly (same event order,
-// same traces); HostConfig::event_driven_fast_path turns them off for A/B
-// reference runs.
+// instead of idling quantum by quantum. An over-cap tail first crosses, in
+// closed form, every accounting refill the scheduler proves revives none
+// of the rejected VMs (Scheduler::account_while_rejected), so a VM deep in
+// credit debt costs one step, not one wake-up per refill. The runnable set
+// is maintained incrementally from those hints rather than re-polled per
+// quantum. These optimizations reproduce the slow-stepped loop exactly
+// (same event order, same traces); HostConfig::event_driven_fast_path
+// turns them off for A/B reference runs.
 //
 // Determinism: given the same configuration and workload seeds, a run is
 // bit-for-bit reproducible.
@@ -182,6 +185,10 @@ class Host {
   [[nodiscard]] Controller* controller() { return controller_.get(); }
   /// Total CPU-idle time so far.
   [[nodiscard]] common::SimTime idle_time() const { return idle_total_; }
+  /// Accounting refills the over-cap fast path applied in closed form
+  /// (Scheduler::account_while_rejected) instead of waking for each; 0
+  /// in reference mode.
+  [[nodiscard]] std::uint64_t refills_collapsed() const { return refills_collapsed_; }
   /// Fraction of the current monitor window each VM spent wanting the CPU
   /// (running or runnable); ~1 means saturated. Index = VmId.
   [[nodiscard]] double window_wanting_fraction(common::VmId id) const;
@@ -219,6 +226,10 @@ class Host {
   [[nodiscard]] common::SimTime next_poll_boundary(common::SimTime hint) const;
   /// Jumps `now_` across provably idle quanta (fast path).
   void skip_idle_time(common::SimTime until);
+  /// Over-cap part of skip_idle_time: applies, in closed form, every
+  /// accounting refill before `until`, `hint` and the other tasks' next
+  /// fires that leaves the rejected set rejected, landing on the last one.
+  void collapse_refills(common::SimTime until, common::SimTime hint);
   /// Recomputes the quiescence certificate (see next_activity_time()).
   [[nodiscard]] common::SimTime compute_next_activity() const;
   void close_monitor_window(common::SimTime now);
@@ -305,6 +316,9 @@ class Host {
   // Scratch for trace_tick (reused; keeps sampling allocation-free).
   std::vector<double> trace_scratch_global_, trace_scratch_absolute_,
       trace_scratch_credit_, trace_scratch_saturated_;
+
+  // Accounting refills collapse_refills applied (refills_collapsed()).
+  std::uint64_t refills_collapsed_ = 0;
 };
 
 }  // namespace pas::hv

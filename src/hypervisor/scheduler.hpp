@@ -13,7 +13,7 @@
 // credit scheduler plus a credit/DVFS controller (core::PasController).
 //
 // ── Extension contract ──────────────────────────────────────────────────
-// A new scheduler is correct when it upholds four promises; every one is
+// A new scheduler is correct when it upholds five promises; every one is
 // load-bearing for an optimization or a cluster feature, so the
 // differential suites (host fast-path tests, cluster fuzz + parallel
 // sweeps) will catch a violation as a byte-level divergence:
@@ -34,12 +34,18 @@
 //     (one per host — the cluster's parallel driver steps hosts on worker
 //     threads), and all time arrives through the `now` parameters. A
 //     static counter or wall-clock read breaks run-to-run determinism.
+//  5. account_while_rejected() is honest (doc below). It lets an over-cap
+//     host cross a run of accounting refills in one step; every refill it
+//     claims to have applied must leave the rejected set rejected. 0 is
+//     always a safe answer and is the default — SEDF and Credit2 keep it;
+//     the fixed-credit CreditScheduler overrides it in closed form.
 //
 // Registration: add the class to sched/scheduler_factory.{hpp,cpp} and to
 // the cluster fuzz generator's scheduler switch so the differential tests
 // cover it. See docs/ARCHITECTURE.md ("A new scheduler").
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <string_view>
 
@@ -128,6 +134,29 @@ class Scheduler {
   /// it as a byte-level diff. The default is the safe answer; fixed-credit
   /// schedulers override it with their refill fixed-point test.
   [[nodiscard]] virtual bool refill_settled() const { return false; }
+
+  /// Applies up to `max_refills` successive account() calls, each of which
+  /// must leave pick(rejected) returning common::kInvalidVm, and returns
+  /// how many it applied. The caller guarantees `rejected` was just
+  /// rejected and that nothing else (charge, set_cap, a change of the
+  /// runnable set) happens across those refills. The host's over-cap skip
+  /// uses this to cross every accounting tick that revives no VM in one
+  /// step instead of waking at each one to re-ask pick().
+  ///
+  /// Honesty contract, same shape as refill_settled(): the state after a
+  /// return of n must equal the state after n account() calls, and none
+  /// of those n may have revived a rejected VM. Under-claiming is always
+  /// safe — 0 just makes the host step refill by refill, as the reference
+  /// loop does — so that is the default. Applying a refill that revives a
+  /// VM (or applying it inexactly) silently diverges the fast path from
+  /// the reference loop; the host fast-path suites catch it as a
+  /// byte-level diff. CreditScheduler overrides it in closed form.
+  [[nodiscard]] virtual std::int64_t account_while_rejected(
+      std::span<const common::VmId> rejected, std::int64_t max_refills) {
+    (void)rejected;
+    (void)max_refills;
+    return 0;
+  }
 
   /// Fraction of the *upcoming* run (for the VM just returned by pick())
   /// that converts into useful guest work, in (0,1]. 1.0 for guaranteed

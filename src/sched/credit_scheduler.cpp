@@ -122,6 +122,40 @@ bool CreditScheduler::refill_settled() const {
   return true;
 }
 
+std::int64_t CreditScheduler::account_while_rejected(std::span<const common::VmId> rejected,
+                                                     std::int64_t max_refills) {
+  // A rejected VM is capped and out of credit. After k refills its balance
+  // is min(b + k·refill, burst) — successive clamps collapse into one
+  // because refill >= 0 — which stays non-positive exactly while
+  // k <= floor(-b / refill). A VM that is pickable now (null credit, or
+  // still holding credit) admits no refill at all.
+  std::int64_t n = max_refills;
+  for (const common::VmId id : rejected) {
+    const Entry& e = vms_.at(id);
+    if (e.cap_pct <= 0.0 || e.balance_us > 0) return 0;
+    if (e.refill_us > 0) n = std::min(n, -e.balance_us / e.refill_us);
+  }
+  if (n <= 0) return 0;
+  // n successive account() calls, per entry in closed form. The balance
+  // reaches the burst limit once n·refill covers the headroom; testing
+  // that by division keeps n·refill from overflowing when no rejected VM
+  // bounds n. An imported hoard above burst (negative headroom) clamps on
+  // the first refill, as account() would.
+  for (Entry& e : vms_) {
+    if (e.cap_pct <= 0.0) {
+      e.balance_us = 0;
+    } else {
+      const std::int64_t headroom = e.burst_us - e.balance_us;
+      if (headroom <= 0 || (e.refill_us > 0 && n > headroom / e.refill_us))
+        e.balance_us = e.burst_us;
+      else
+        e.balance_us += n * e.refill_us;
+    }
+    update_under(e);
+  }
+  return n;
+}
+
 void CreditScheduler::set_cap(common::VmId vm, common::Percent cap_pct) {
   if (cap_pct < 0.0) throw std::invalid_argument("CreditScheduler: negative cap");
   Entry& e = vms_.at(vm);

@@ -50,11 +50,18 @@ class CreditScheduler final : public hv::Scheduler {
   [[nodiscard]] common::Percent cap(common::VmId vm) const override;
   [[nodiscard]] bool work_conserving() const override { return false; }
   [[nodiscard]] bool refill_settled() const override;
+  [[nodiscard]] std::int64_t account_while_rejected(std::span<const common::VmId> rejected,
+                                                    std::int64_t max_refills) override;
   [[nodiscard]] common::SimTime export_credit(common::VmId vm) const override;
   void import_credit(common::VmId vm, common::SimTime balance) override;
 
   /// Current balance (diagnostic / tests).
   [[nodiscard]] common::SimTime balance(common::VmId vm) const;
+  /// VMs holding credit per priority tier, highest priority first
+  /// (diagnostic / tests: the counts pick() trusts to skip tiers).
+  [[nodiscard]] std::span<const std::uint32_t> under_counts() const {
+    return under_per_tier_;
+  }
 
  private:
   struct Entry {

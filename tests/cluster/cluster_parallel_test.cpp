@@ -40,6 +40,7 @@ std::vector<std::size_t> sweep_thread_counts() {
 void run_seed_range(std::uint64_t first, std::uint64_t count) {
   const std::vector<std::size_t> thread_counts = sweep_thread_counts();
   std::size_t total_migrations = 0;
+  std::uint64_t total_collapsed = 0;
   for (std::uint64_t seed = first; seed < first + count; ++seed) {
     const ScenarioSpec spec = draw_scenario(seed);
     auto serial = build_cluster(spec, /*fast_path=*/true, /*threads=*/1);
@@ -50,12 +51,19 @@ void run_seed_range(std::uint64_t first, std::uint64_t count) {
       expect_identical(*serial, *parallel, seed,
                        "serial vs " + std::to_string(threads) + " threads");
       if (::testing::Test::HasFatalFailure()) return;
+      // The over-cap refill collapse is host-local work, so how much of it
+      // happens cannot depend on which thread stepped the host.
+      EXPECT_EQ(serial->engine_stats().refills_collapsed,
+                parallel->engine_stats().refills_collapsed)
+          << "seed " << seed << ", " << threads << " threads";
     }
     total_migrations += serial->migrations().size();
+    total_collapsed += serial->engine_stats().refills_collapsed;
   }
   // Same vacuity guard as the fuzz test: the sweep must see real
   // migrations, manager ticks and SLA traffic, not idle fleets.
   EXPECT_GT(total_migrations, count / 2) << "too few migrations across seeds";
+  EXPECT_GT(total_collapsed, 0u) << "no over-cap host ever collapsed a refill";
 }
 
 TEST(ClusterParallelTest, ParallelIdenticalSeeds0to24) { run_seed_range(0, 25); }
@@ -76,6 +84,9 @@ TEST(ClusterParallelTest, SlowLoopParallelIdenticalSeeds0to9) {
     run_spec(*parallel, spec);
     expect_identical(*serial, *parallel, seed, "slow serial vs slow 4-thread");
     if (::testing::Test::HasFatalFailure()) return;
+    // The reference loop steps every refill; it never collapses one.
+    EXPECT_EQ(serial->engine_stats().refills_collapsed, 0u) << "seed " << seed;
+    EXPECT_EQ(parallel->engine_stats().refills_collapsed, 0u) << "seed " << seed;
   }
 }
 

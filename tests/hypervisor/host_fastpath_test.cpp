@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "core/pas_controller.hpp"
 #include "governor/governors.hpp"
@@ -100,40 +101,48 @@ std::unique_ptr<Host> build_mixed_host(bool fast_path, Sched kind, bool controll
   return host;
 }
 
+/// Byte-level equality of two hosts: every trace row and sampled quantity,
+/// integer time accounting, the saturation flags and energy down to the
+/// exact double (the meter integrates per-P-state integer time, so
+/// chunking cannot move it).
+void expect_hosts_identical(Host& slow, Host& fast, const std::string& where) {
+  ASSERT_EQ(slow.now(), fast.now()) << where;
+  const auto sa = slow.trace().samples();
+  const auto sb = fast.trace().samples();
+  ASSERT_EQ(sa.size(), sb.size()) << where;
+  for (std::size_t i = 0; i < sa.size(); ++i) {
+    const auto ra = sa[i];
+    const auto rb = sb[i];
+    EXPECT_EQ(ra.t, rb.t) << where << " row " << i;
+    EXPECT_EQ(ra.freq_mhz, rb.freq_mhz) << where << " row " << i;
+    EXPECT_EQ(ra.global_load_pct, rb.global_load_pct) << where << " row " << i;
+    EXPECT_EQ(ra.absolute_load_pct, rb.absolute_load_pct) << where << " row " << i;
+    for (std::size_t v = 0; v < slow.vm_count(); ++v) {
+      EXPECT_EQ(ra.vm_global_pct[v], rb.vm_global_pct[v]) << where << " row " << i << " vm " << v;
+      EXPECT_EQ(ra.vm_absolute_pct[v], rb.vm_absolute_pct[v])
+          << where << " row " << i << " vm " << v;
+      EXPECT_EQ(ra.vm_credit_pct[v], rb.vm_credit_pct[v]) << where << " row " << i << " vm " << v;
+      EXPECT_EQ(ra.vm_saturated[v], rb.vm_saturated[v]) << where << " row " << i << " vm " << v;
+    }
+  }
+  EXPECT_EQ(slow.idle_time(), fast.idle_time()) << where;
+  EXPECT_EQ(slow.cpufreq().transition_count(), fast.cpufreq().transition_count()) << where;
+  for (common::VmId v = 0; v < slow.vm_count(); ++v) {
+    EXPECT_EQ(slow.vm(v).total_busy, fast.vm(v).total_busy) << where << " vm " << v;
+    EXPECT_EQ(slow.vm(v).total_work, fast.vm(v).total_work) << where << " vm " << v;
+    EXPECT_EQ(slow.vm(v).window_wanting, fast.vm(v).window_wanting) << where << " vm " << v;
+    EXPECT_EQ(slow.vm_saturated_last_window(v), fast.vm_saturated_last_window(v))
+        << where << " vm " << v;
+  }
+  EXPECT_EQ(slow.energy().joules(), fast.energy().joules()) << where;
+}
+
 void expect_identical_runs(Sched kind, bool controller) {
   auto slow = build_mixed_host(/*fast_path=*/false, kind, controller);
   auto fast = build_mixed_host(/*fast_path=*/true, kind, controller);
   slow->run_until(seconds(120));
   fast->run_until(seconds(120));
-
-  // Byte-identical trace: every sampled quantity, every row.
-  const auto sa = slow->trace().samples();
-  const auto sb = fast->trace().samples();
-  ASSERT_EQ(sa.size(), sb.size());
-  for (std::size_t i = 0; i < sa.size(); ++i) {
-    const auto ra = sa[i];
-    const auto rb = sb[i];
-    EXPECT_EQ(ra.t, rb.t) << "row " << i;
-    EXPECT_EQ(ra.freq_mhz, rb.freq_mhz) << "row " << i;
-    EXPECT_EQ(ra.global_load_pct, rb.global_load_pct) << "row " << i;
-    EXPECT_EQ(ra.absolute_load_pct, rb.absolute_load_pct) << "row " << i;
-    for (std::size_t v = 0; v < slow->vm_count(); ++v) {
-      EXPECT_EQ(ra.vm_global_pct[v], rb.vm_global_pct[v]) << "row " << i << " vm " << v;
-      EXPECT_EQ(ra.vm_absolute_pct[v], rb.vm_absolute_pct[v]) << "row " << i << " vm " << v;
-      EXPECT_EQ(ra.vm_credit_pct[v], rb.vm_credit_pct[v]) << "row " << i << " vm " << v;
-      EXPECT_EQ(ra.vm_saturated[v], rb.vm_saturated[v]) << "row " << i << " vm " << v;
-    }
-  }
-  // Integer accounting is exactly equal — energy included: the meter
-  // integrates per-P-state integer time, so chunking cannot move it.
-  EXPECT_EQ(slow->idle_time(), fast->idle_time());
-  EXPECT_EQ(slow->cpufreq().transition_count(), fast->cpufreq().transition_count());
-  for (common::VmId v = 0; v < slow->vm_count(); ++v) {
-    EXPECT_EQ(slow->vm(v).total_busy, fast->vm(v).total_busy) << "vm " << v;
-    EXPECT_EQ(slow->vm(v).total_work, fast->vm(v).total_work) << "vm " << v;
-    EXPECT_EQ(slow->vm(v).window_wanting, fast->vm(v).window_wanting) << "vm " << v;
-  }
-  EXPECT_EQ(slow->energy().joules(), fast->energy().joules());
+  expect_hosts_identical(*slow, *fast, "120 s");
 }
 
 TEST(HostFastPathTest, TraceIdenticalToSlowLoopCredit) {
@@ -369,6 +378,162 @@ TEST(HostFastPathTest, OverCapIdleIdenticalAcrossModes) {
     EXPECT_EQ(slow.vm(v).total_busy, fast.vm(v).total_busy);
     EXPECT_EQ(slow.vm(v).window_wanting, fast.vm(v).window_wanting);
   }
+}
+
+// --- over-cap refill collapse (Host::collapse_refills) ---
+//
+// A 2-5 % hog that gets a 10 ms quantum overdraws by ~9 ms and then sits
+// out about ten 30 ms refills; the fast path crosses every refill that
+// revives nobody in one step. Each test compares it byte for byte with the
+// slow-stepped reference loop.
+
+VmConfig capped(const char* name, double credit) {
+  VmConfig cfg;
+  cfg.name = name;
+  cfg.credit = credit;
+  return cfg;
+}
+
+/// Deep over-cap hogs at 2-5 % caps (3.3 % refills a fractional 990 µs)
+/// beside a web tenant and an idle VM.
+std::unique_ptr<Host> build_deep_overcap_host(bool fast_path, Sched kind) {
+  HostConfig hc;
+  hc.trace_stride = common::msec(500);
+  hc.event_driven_fast_path = fast_path;
+  auto host = std::make_unique<Host>(hc, make_sched(kind));
+  host->add_vm(capped("hog2", 2.0), std::make_unique<wl::BusyLoop>());
+  host->add_vm(capped("hog3", 3.3), std::make_unique<wl::BusyLoop>());
+  host->add_vm(capped("hog5", 5.0), std::make_unique<wl::BusyLoop>());
+  wl::WebAppConfig wc;
+  wc.seed = 11;
+  const double rate = wl::WebApp::rate_for_demand(4.0, wc.request_cost);
+  host->add_vm(capped("web", 10.0),
+               std::make_unique<wl::WebApp>(
+                   wl::LoadProfile::pulse(seconds(4), seconds(9), rate), wc));
+  host->add_vm(capped("idle", 10.0), std::make_unique<wl::IdleGuest>());
+  return host;
+}
+
+TEST(HostFastPathTest, DeepOverCapHogsIdenticalAcrossModes) {
+  for (const Sched kind : {Sched::kCredit, Sched::kSedf, Sched::kCredit2}) {
+    auto slow = build_deep_overcap_host(/*fast_path=*/false, kind);
+    auto fast = build_deep_overcap_host(/*fast_path=*/true, kind);
+    slow->run_until(seconds(15));
+    fast->run_until(seconds(15));
+    const std::string where = "sched " + std::string(slow->scheduler().name());
+    expect_hosts_identical(*slow, *fast, where);
+    EXPECT_EQ(slow->refills_collapsed(), 0u) << where;  // reference mode never collapses
+    if (kind == Sched::kCredit) {
+      // The hogs really sit in deep debt, so refills are crossed in bulk.
+      EXPECT_GT(fast->refills_collapsed(), 100u) << where;
+    } else {
+      EXPECT_EQ(fast->refills_collapsed(), 0u) << where;  // the safe default
+    }
+  }
+}
+
+TEST(HostFastPathTest, TransitionHintMidCollapseStopsIt) {
+  // A gated hog whose gate opens and closes at off-grid instants inside
+  // the deep hogs' over-cap spans: the collapse must stop short of each
+  // hint, and the hop after it must wake on the hint's poll boundary.
+  auto build = [](bool fast_path) {
+    HostConfig hc;
+    hc.trace_stride = common::msec(250);
+    hc.event_driven_fast_path = fast_path;
+    auto host = std::make_unique<Host>(hc, std::make_unique<sched::CreditScheduler>());
+    host->add_vm(capped("hog2", 2.0), std::make_unique<wl::BusyLoop>());
+    host->add_vm(capped("hog4", 4.0), std::make_unique<wl::BusyLoop>());
+    host->add_vm(capped("gated", 3.0),
+                 std::make_unique<wl::GatedBusyLoop>(wl::LoadProfile::pulse(
+                     common::msec(157) + common::usec(3), common::msec(2718) + common::usec(7),
+                     1.0)));
+    host->add_vm(capped("idle", 5.0), std::make_unique<wl::IdleGuest>());
+    return host;
+  };
+  auto slow = build(false);
+  auto fast = build(true);
+  slow->run_until(seconds(6));
+  fast->run_until(seconds(6));
+  expect_hosts_identical(*slow, *fast, "6 s");
+  EXPECT_GT(fast->refills_collapsed(), 0u);
+}
+
+TEST(HostFastPathTest, ChunkedRunUntilOffGridIdentical) {
+  // run_until bounds at off-grid instants cut collapses short (`until` is
+  // a strict bound) and re-anchor the quantum grid — in the reference loop
+  // too, so both modes step the same chunks and must agree at every one.
+  auto slow = build_deep_overcap_host(/*fast_path=*/false, Sched::kCredit);
+  auto fast = build_deep_overcap_host(/*fast_path=*/true, Sched::kCredit);
+  const SimTime chunks[] = {common::usec(37'001),    common::msec(301),
+                            common::usec(999'999),   common::msec(1000),
+                            common::usec(1'000'001), common::msec(2345),
+                            common::usec(4'321'987), common::msec(7777),
+                            seconds(12)};
+  for (const SimTime t : chunks) {
+    slow->run_until(t);
+    fast->run_until(t);
+    expect_hosts_identical(*slow, *fast, "chunk to " + std::to_string(t.us()) + " us");
+  }
+  EXPECT_GT(fast->refills_collapsed(), 0u);
+}
+
+TEST(HostFastPathTest, MonitorCloseCoincidingWithRefillIdentical) {
+  // With a 1 s monitor window and 30 ms accounting, the refill at t = 3 s
+  // shares its instant with a window close: the collapse must stop before
+  // it (the close is another task's fire) so both fire in reference
+  // (time, seq) order. Run both modes through t = 3 s exactly, then on.
+  auto build = [](bool fast_path) {
+    HostConfig hc;
+    hc.trace_stride = seconds(1);
+    hc.event_driven_fast_path = fast_path;
+    auto host = std::make_unique<Host>(hc, std::make_unique<sched::CreditScheduler>());
+    host->add_vm(capped("hog2", 2.0), std::make_unique<wl::BusyLoop>());
+    host->add_vm(capped("hog5", 5.0), std::make_unique<wl::BusyLoop>());
+    host->add_vm(capped("idle", 10.0), std::make_unique<wl::IdleGuest>());
+    return host;
+  };
+  auto slow = build(false);
+  auto fast = build(true);
+  slow->run_until(seconds(3));
+  fast->run_until(seconds(3));
+  expect_hosts_identical(*slow, *fast, "t = 3 s");
+  slow->run_until(seconds(8));
+  fast->run_until(seconds(8));
+  expect_hosts_identical(*slow, *fast, "t = 8 s");
+  EXPECT_GT(fast->refills_collapsed(), 0u);
+}
+
+TEST(HostFastPathTest, ControllerTickSharingRefillInstantIdentical) {
+  // A 90 ms PAS controller shares every third refill instant with the
+  // accounting task and, having re-armed less recently, fires FIRST there:
+  // its set_cap must see the balance before that refill. The collapse
+  // bound is strict, so such a refill is left to the queue, in order.
+  auto build = [](bool fast_path) {
+    HostConfig hc;
+    hc.trace_stride = common::msec(450);
+    hc.event_driven_fast_path = fast_path;
+    auto host = std::make_unique<Host>(hc, std::make_unique<sched::CreditScheduler>());
+    core::PasConfig pc;
+    pc.period = common::msec(90);
+    pc.down_patience_ticks = 3;
+    host->set_controller(std::make_unique<core::PasController>(pc));
+    host->add_vm(capped("hog2", 2.0), std::make_unique<wl::BusyLoop>());
+    host->add_vm(capped("hog3", 3.3), std::make_unique<wl::BusyLoop>());
+    host->add_vm(capped("gated", 30.0),
+                 std::make_unique<wl::GatedBusyLoop>(wl::LoadProfile{{
+                     {common::msec(2500), 1.0},
+                     {common::msec(5100), 0.0},
+                     {common::msec(9300), 1.0},
+                     {common::msec(11700), 0.0},
+                 }}));
+    return host;
+  };
+  auto slow = build(false);
+  auto fast = build(true);
+  slow->run_until(seconds(15));
+  fast->run_until(seconds(15));
+  expect_hosts_identical(*slow, *fast, "15 s");
+  EXPECT_GT(fast->refills_collapsed(), 0u);
 }
 
 }  // namespace
