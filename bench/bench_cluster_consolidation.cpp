@@ -66,16 +66,17 @@
 //
 // --scale-hosts=N (with --scale-vms, --scale-horizon) adds the SCALE tier:
 // the same hosting scenario at fleet size (the CI gate runs 1000 hosts x
-// 10000 VMs), executed twice — the delta-driven incremental planner
-// (ClusterManagerConfig::incremental, the default) against the legacy
-// full-replan manager — with byte-identity between the two ALWAYS gated:
-// the incremental planner is an optimization, never a behavior change.
-// Planner wall time is metered inside the manager (planner_ns / planning
-// ticks / plans skipped) and lands in the `scale{...}` JSON block;
-// --require-scale-rate puts a sim-s/wall-s floor on the scale run,
-// --require-planner-speedup a floor on legacy-vs-incremental planner time,
-// and --require-scale-planner-ns a ceiling on incremental planner ns per
-// manager tick (all full runs only — --smoke is exempt, scale needs scale).
+// 10000 VMs), executed twice — the default manager (live-set memo plus
+// unchanged-tick early-out) against the replan_every_tick reference, which
+// runs a from-scratch place_ffd on every tick — with byte-identity between
+// the two ALWAYS gated: the memo and the early-out are optimizations,
+// never a behavior change. Planner wall time is metered inside the
+// manager (planner_ns / planning ticks / plans skipped) and lands in the
+// `scale{...}` JSON block; --require-scale-rate puts a sim-s/wall-s floor
+// on the scale run, --require-planner-speedup a floor on replan-vs-memo
+// planner time, and --require-scale-planner-ns a ceiling on the default
+// run's planner ns per manager tick (all full runs only — --smoke is
+// exempt, scale needs scale).
 //
 // Every invocation also reports the sparse driver's dispatch counters in
 // the `engine{...}` JSON block (segments / dispatches / bulk_skips /
@@ -656,19 +657,18 @@ int main(int argc, char** argv) {
         "  \"control\": {\n    \"file\": \"" + json_escape(commands_file) + "\",\n" + buf;
   }
 
-  // --- scale: the delta-driven incremental planner at fleet size ---
+  // --- scale: the memoized planner at fleet size ---
   // Same scenario recipe at --scale-hosts x --scale-vms, run twice: the
-  // incremental manager (persistent HostBook + event-fed dirty set +
-  // unchanged-tick early-out) against the legacy from-scratch replan.
-  // Byte-identity between the two is the whole contract — the planner
-  // rewrite is an optimization, never a behavior change — so that gate is
-  // always on, smoke included. The planner-time floors/ceilings only bind
+  // default manager (live-set memo + unchanged-tick early-out) against the
+  // replan_every_tick reference. Byte-identity between the two is the
+  // whole contract — the memo is an optimization, never a behavior
+  // change — so that gate is always on, smoke included. The planner-time floors/ceilings only bind
   // on full runs: a smoke horizon barely plans at all.
   const auto scale_hosts = static_cast<std::size_t>(flags.get_int("scale-hosts", 0));
   std::optional<bool> scale_identical;  // nullopt until the scale A/B runs
   double scale_rate = 0.0;
   double planner_speedup = 0.0;
-  double inc_ns_per_tick = 0.0;
+  double memo_ns_per_tick = 0.0;
   std::string scale_json;
   if (scale_hosts > 0) {
     const auto scale_vms = static_cast<std::size_t>(
@@ -684,59 +684,54 @@ int main(int argc, char** argv) {
     cfg_scale.fast_path = true;
     // The scale tier exercises the full engine: sparse partition on the
     // coordinating thread, pooled dispatch of the active remainder at
-    // --threads. Both sides of the legacy/incremental A/B get the same
+    // --threads. Both sides of the replan/memo A/B get the same
     // executors, so the planner comparison stays apples-to-apples.
     cfg_scale.threads = threads;
 
     std::printf("\n  scale tier: %zu hosts x %zu VMs, %ld simulated s\n",
                 scale_hosts, scale_vms, scale_horizon_s);
 
-    auto cfg_leg = cfg_scale;
-    cfg_leg.manager.incremental = false;
-    auto sc_leg = pas::scenario::build_hosting_cluster(cfg_leg);
-    const double leg_wall = run_timed(*sc_leg, scale_horizon);
+    auto cfg_replan = cfg_scale;
+    cfg_replan.manager.replan_every_tick = true;
+    auto sc_replan = pas::scenario::build_hosting_cluster(cfg_replan);
+    const double replan_wall = run_timed(*sc_replan, scale_horizon);
 
-    auto cfg_inc = cfg_scale;
-    cfg_inc.manager.incremental = true;
-    auto sc_inc = pas::scenario::build_hosting_cluster(cfg_inc);
-    const double inc_wall = run_timed(*sc_inc, scale_horizon);
-    scale_rate = static_cast<double>(scale_horizon_s) / inc_wall;
-    engine_stats = sc_inc->engine_stats();
-    engine_grain = sc_inc->config().execution.pool_grain;
+    auto sc_memo = pas::scenario::build_hosting_cluster(cfg_scale);
+    const double memo_wall = run_timed(*sc_memo, scale_horizon);
+    scale_rate = static_cast<double>(scale_horizon_s) / memo_wall;
+    engine_stats = sc_memo->engine_stats();
+    engine_grain = sc_memo->config().execution.pool_grain;
 
-    scale_identical = clusters_identical(*sc_leg, *sc_inc);
+    scale_identical = clusters_identical(*sc_replan, *sc_memo);
 
-    const pas::cluster::ClusterManager& inc_mgr = *sc_inc->manager();
-    const pas::cluster::ClusterManager& leg_mgr = *sc_leg->manager();
-    const pas::consolidation::HostBookStats& bk = inc_mgr.book_stats();
+    const pas::cluster::ClusterManager& memo_mgr = *sc_memo->manager();
+    const pas::cluster::ClusterManager& replan_mgr = *sc_replan->manager();
+    const pas::cluster::PlanStats& ps = memo_mgr.book_stats();
     // Amortized planner cost per manager tick: skipped ticks count — the
     // early-out is exactly what buys the amortization.
-    const std::size_t inc_ticks = inc_mgr.planning_ticks() + inc_mgr.plans_skipped();
-    inc_ns_per_tick = inc_ticks > 0
-                          ? static_cast<double>(inc_mgr.planner_ns()) /
-                                static_cast<double>(inc_ticks)
-                          : 0.0;
-    planner_speedup = inc_mgr.planner_ns() > 0
-                          ? static_cast<double>(leg_mgr.planner_ns()) /
-                                static_cast<double>(inc_mgr.planner_ns())
+    const std::size_t memo_ticks = memo_mgr.planning_ticks() + memo_mgr.plans_skipped();
+    memo_ns_per_tick = memo_ticks > 0
+                           ? static_cast<double>(memo_mgr.planner_ns()) /
+                                 static_cast<double>(memo_ticks)
+                           : 0.0;
+    planner_speedup = memo_mgr.planner_ns() > 0
+                          ? static_cast<double>(replan_mgr.planner_ns()) /
+                                static_cast<double>(memo_mgr.planner_ns())
                           : 0.0;
 
-    std::printf("  legacy replan     : %8.2f wall s   planner %8.1f ms over %zu tick(s)\n",
-                leg_wall, static_cast<double>(leg_mgr.planner_ns()) * 1e-6,
-                leg_mgr.planning_ticks());
-    std::printf("  incremental       : %8.2f wall s   planner %8.1f ms over %zu tick(s), "
+    std::printf("  replan every tick : %8.2f wall s   planner %8.1f ms over %zu tick(s)\n",
+                replan_wall, static_cast<double>(replan_mgr.planner_ns()) * 1e-6,
+                replan_mgr.planning_ticks());
+    std::printf("  memoized          : %8.2f wall s   planner %8.1f ms over %zu tick(s), "
                 "%zu skipped\n",
-                inc_wall, static_cast<double>(inc_mgr.planner_ns()) * 1e-6,
-                inc_mgr.planning_ticks(), inc_mgr.plans_skipped());
+                memo_wall, static_cast<double>(memo_mgr.planner_ns()) * 1e-6,
+                memo_mgr.planning_ticks(), memo_mgr.plans_skipped());
     std::printf("  planner speedup: %.2fx   %.0f ns/tick amortized   "
                 "sim rate %.0f sim-s/wall-s\n",
-                planner_speedup, inc_ns_per_tick, scale_rate);
-    std::printf("  book: %zu plan(s) = %zu cached + %zu delta + %zu rebuild; "
-                "%zu rank(s) walked, %zu scan(s), %zu mark(s)+%zu event(s) coalesced\n",
-                bk.plans, bk.cached_plans, bk.delta_plans, bk.full_rebuilds,
-                bk.vms_walked, bk.vms_scanned, bk.coalesced_marks,
-                inc_mgr.events_coalesced());
-    std::printf("  identical to legacy replan: %s\n",
+                planner_speedup, memo_ns_per_tick, scale_rate);
+    std::printf("  memo: %zu hit(s), %zu miss(es) placing %zu VM(s)\n",
+                ps.cached_plans, ps.full_rebuilds, ps.vms_scanned);
+    std::printf("  identical to replan every tick: %s\n",
                 *scale_identical ? "yes" : "NO — BUG");
 
     char buf[1024];
@@ -745,26 +740,22 @@ int main(int argc, char** argv) {
                   "    \"hosts\": %zu,\n"
                   "    \"vms\": %zu,\n"
                   "    \"simulated_seconds\": %ld,\n"
-                  "    \"incremental\": {\"wall_seconds\": %.6f, \"sim_per_wall\": %.1f,\n"
+                  "    \"memo\": {\"wall_seconds\": %.6f, \"sim_per_wall\": %.1f,\n"
                   "      \"planner_ns\": %llu, \"planning_ticks\": %zu, "
                   "\"plans_skipped\": %zu,\n"
-                  "      \"planner_ns_per_tick\": %.1f, \"events_coalesced\": %zu},\n"
-                  "    \"legacy\": {\"wall_seconds\": %.6f, \"planner_ns\": %llu, "
+                  "      \"planner_ns_per_tick\": %.1f},\n"
+                  "    \"replan\": {\"wall_seconds\": %.6f, \"planner_ns\": %llu, "
                   "\"planning_ticks\": %zu},\n"
                   "    \"planner_speedup\": %.3f,\n"
-                  "    \"book\": {\"plans\": %zu, \"cached\": %zu, \"delta\": %zu, "
-                  "\"full_rebuilds\": %zu,\n"
-                  "      \"vms_walked\": %zu, \"vms_scanned\": %zu, "
-                  "\"coalesced_marks\": %zu},\n"
+                  "    \"book\": {\"cached\": %zu, \"full_rebuilds\": %zu, "
+                  "\"vms_scanned\": %zu},\n"
                   "    \"scale_identical\": %s\n  },\n",
-                  scale_hosts, scale_vms, scale_horizon_s, inc_wall, scale_rate,
-                  static_cast<unsigned long long>(inc_mgr.planner_ns()),
-                  inc_mgr.planning_ticks(), inc_mgr.plans_skipped(), inc_ns_per_tick,
-                  inc_mgr.events_coalesced(), leg_wall,
-                  static_cast<unsigned long long>(leg_mgr.planner_ns()),
-                  leg_mgr.planning_ticks(), planner_speedup, bk.plans, bk.cached_plans,
-                  bk.delta_plans, bk.full_rebuilds, bk.vms_walked, bk.vms_scanned,
-                  bk.coalesced_marks, json_verdict(scale_identical));
+                  scale_hosts, scale_vms, scale_horizon_s, memo_wall, scale_rate,
+                  static_cast<unsigned long long>(memo_mgr.planner_ns()),
+                  memo_mgr.planning_ticks(), memo_mgr.plans_skipped(), memo_ns_per_tick,
+                  replan_wall, static_cast<unsigned long long>(replan_mgr.planner_ns()),
+                  replan_mgr.planning_ticks(), planner_speedup, ps.cached_plans,
+                  ps.full_rebuilds, ps.vms_scanned, json_verdict(scale_identical));
     scale_json = buf;
   }
 
@@ -990,7 +981,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (scale_identical && !*scale_identical) {
-    std::printf("  FAIL: incremental planner diverged from the legacy replan\n");
+    std::printf("  FAIL: memoized planner diverged from the replan-every-tick reference\n");
     return 1;
   }
   if (federation_identical && !*federation_identical) {
@@ -1039,9 +1030,9 @@ int main(int argc, char** argv) {
       std::printf("  FAIL: --require-scale-planner-ns needs --scale-hosts > 0\n");
       return 1;
     }
-    if (inc_ns_per_tick > ns_ceiling) {
+    if (memo_ns_per_tick > ns_ceiling) {
       std::printf("  FAIL: planner %.0f ns/tick above the %.0f ceiling\n",
-                  inc_ns_per_tick, ns_ceiling);
+                  memo_ns_per_tick, ns_ceiling);
       return 1;
     }
   }

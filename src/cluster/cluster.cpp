@@ -176,7 +176,6 @@ void Cluster::mark_departed(GlobalVmId vm) {
   vm_state_[vm] = VmState::kDeparted;
   fed_locked_[vm] = 0;
   ++topology_version_;
-  if (manager_) manager_->note_vm_event(vm);
 }
 
 void Cluster::complete_inbound(GlobalVmId vm, common::SimTime downtime) {
@@ -193,7 +192,6 @@ void Cluster::complete_inbound(GlobalVmId vm, common::SimTime downtime) {
   if (downtime > common::SimTime{})
     sla_.record_window(vm, downtime, 0.0, /*saturated=*/true);
   ++topology_version_;
-  if (manager_) manager_->note_vm_event(vm);
 }
 
 void Cluster::set_federation_lock(GlobalVmId vm, bool locked) {
@@ -331,7 +329,6 @@ void Cluster::on_migration_done(const MigrationRecord& record) {
       // The guest evaporated with its source; the crash sweep that caused
       // this runs right after and handles the host side.
       vm_state_[record.vm] = VmState::kLost;
-      if (manager_) manager_->note_vm_event(record.vm);
       break;
   }
 }
@@ -409,12 +406,10 @@ bool Cluster::crash_host(HostId host, bool restart_orphans) {
     } else {
       vm_state_[gid] = VmState::kLost;
     }
-    if (manager_) manager_->note_vm_event(gid);
   }
   // Silence the host's hypervisor agent too — a crashed host burns no CPU.
   h.scheduler().set_cap(0, 0.0);
   h.scheduler().import_credit(0, common::SimTime{});
-  if (manager_) manager_->note_host_crashed(host);
   ++topology_version_;
   const bool off = set_powered(host, false);
   (void)off;
@@ -442,7 +437,6 @@ bool Cluster::restart_vm(GlobalVmId vm, HostId to) {
   home_slot_[vm] = s;
   vm_state_[vm] = VmState::kRunning;
   ++topology_version_;
-  if (manager_) manager_->note_vm_event(vm);
   const common::SimTime outage = now_ - held_since_[vm];
   if (outage > common::SimTime{})
     sla_.record_window(vm, outage, 0.0, /*saturated=*/true);
@@ -465,7 +459,6 @@ bool Cluster::stop_vm(GlobalVmId vm) {
   h.scheduler().import_credit(s, common::SimTime{});
   vm_state_[vm] = VmState::kStopped;
   ++topology_version_;
-  if (manager_) manager_->note_vm_event(vm);
   return true;
 }
 
@@ -489,7 +482,6 @@ bool Cluster::start_vm(GlobalVmId vm, HostId to) {
   home_slot_[vm] = s;
   vm_state_[vm] = VmState::kRunning;
   ++topology_version_;
-  if (manager_) manager_->note_vm_event(vm);
   return true;
 }
 
@@ -499,7 +491,6 @@ void Cluster::mark_lost(GlobalVmId vm) {
   held_wl_[vm].reset();
   vm_state_[vm] = VmState::kLost;
   ++topology_version_;
-  if (manager_) manager_->note_vm_event(vm);
 }
 
 bool Cluster::abort_migration(GlobalVmId vm) {

@@ -339,7 +339,7 @@ class Cluster {
 
   /// Source-side handoff at the federation link's detach: the engine has
   /// already drained the slot (workload + credit are in transit), so this
-  /// just marks the VM kDeparted and feeds the manager's dirty set.
+  /// just marks the VM kDeparted (leaving the manager's live set).
   /// Throws std::logic_error unless the VM is kRunning.
   void mark_departed(GlobalVmId vm);
 

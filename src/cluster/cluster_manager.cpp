@@ -4,6 +4,7 @@
 #include <chrono>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "consolidation/consolidation.hpp"
@@ -20,11 +21,63 @@ consolidation::FfdOptions ffd_options(const ClusterManagerConfig& cfg) {
   return ffd;
 }
 
+consolidation::HostSpec plan_host_spec(const Cluster& cluster, HostId host) {
+  // Host specs come from each host's *actual* platform class — ladder,
+  // power model, memory and NUMA layout per machine, not one template —
+  // so the plan sees the fleet the paper's Table 2 describes: machines
+  // that differ.
+  const platform::HostClass& cls = cluster.host_class(host);
+  consolidation::HostSpec spec = platform::to_host_spec(cls);
+  spec.name += '-';
+  spec.name += std::to_string(host);
+  // Reserve the hypervisor agent's credit out of the schedulable
+  // capacity, like Dom0 in the paper's single-host budget.
+  spec.cpu_capacity_pct = cls.cpu_capacity_pct - cluster.config().agent_credit;
+  return spec;
+}
+
+consolidation::VmSpec plan_vm_spec(const Cluster& cluster, GlobalVmId vm) {
+  const ClusterVmConfig& vc = cluster.vm_config(vm);
+  consolidation::VmSpec spec;
+  spec.name = vc.vm.name;
+  spec.credit = vc.vm.credit;
+  spec.memory_mb = vc.memory_mb;
+  return spec;
+}
+
+/// Live hosts in the order orphan recovery tries them: ascending
+/// packing_cost under efficient_first (ties by ascending id, the planner's
+/// own tie-break), plain ascending id otherwise.
+std::vector<HostId> restart_order(const Cluster& cluster, bool efficient_first) {
+  std::vector<std::pair<double, HostId>> keyed;
+  for (HostId h = 0; h < cluster.host_count(); ++h) {
+    if (cluster.crashed(h)) continue;
+    keyed.emplace_back(
+        efficient_first
+            ? consolidation::packing_cost(platform::to_host_spec(cluster.host_class(h)))
+            : 0.0,
+        h);
+  }
+  std::sort(keyed.begin(), keyed.end());
+  std::vector<HostId> order;
+  order.reserve(keyed.size());
+  for (const auto& entry : keyed) order.push_back(entry.second);
+  return order;
+}
+
 }  // namespace
 
+LiveSet live_set(const Cluster& cluster) {
+  LiveSet live;
+  for (GlobalVmId gid = 0; gid < cluster.vm_count(); ++gid)
+    if (cluster.vm_state(gid) == VmState::kRunning) live.vms.push_back(gid);
+  for (HostId h = 0; h < cluster.host_count(); ++h)
+    if (!cluster.crashed(h)) live.hosts.push_back(h);
+  return live;
+}
+
 ClusterManager::ClusterManager(ClusterManagerConfig config)
-    : cfg_(config), migration_budget_left_(config.max_migrations_per_tick),
-      book_(ffd_options(config)) {
+    : cfg_(config), migration_budget_left_(config.max_migrations_per_tick) {
   if (cfg_.period.us() <= 0)
     throw std::invalid_argument("ClusterManager: period must be positive");
   if (cfg_.restart_backoff.us() <= 0)
@@ -51,82 +104,13 @@ void ClusterManager::add_brownout(common::SimTime from, common::SimTime until) {
   brownouts_.emplace_back(from, until);
 }
 
-void ClusterManager::note_vm_event(GlobalVmId vm) {
-  if (!pending_vms_.insert(vm).second) ++events_coalesced_;
-}
-
-void ClusterManager::note_host_crashed(HostId host) {
-  if (!pending_crashes_.insert(host).second) ++events_coalesced_;
-}
-
-consolidation::HostSpec ClusterManager::plan_host_spec(const Cluster& cluster,
-                                                       HostId host) {
-  // Host specs come from each host's *actual* platform class — ladder,
-  // power model, memory and NUMA layout per machine, not one template —
-  // so the plan sees the fleet the paper's Table 2 describes: machines
-  // that differ.
-  const platform::HostClass& cls = cluster.host_class(host);
-  consolidation::HostSpec spec = platform::to_host_spec(cls);
-  spec.name += "-" + std::to_string(host);
-  // Reserve the hypervisor agent's credit out of the schedulable
-  // capacity, like Dom0 in the paper's single-host budget.
-  spec.cpu_capacity_pct = cls.cpu_capacity_pct - cluster.config().agent_credit;
-  return spec;
-}
-
-consolidation::VmSpec ClusterManager::plan_vm_spec(const Cluster& cluster,
-                                                   GlobalVmId vm) {
-  const ClusterVmConfig& vc = cluster.vm_config(vm);
-  consolidation::VmSpec spec;
-  spec.name = vc.vm.name;
-  spec.credit = vc.vm.credit;
-  spec.memory_mb = vc.memory_mb;
-  return spec;
-}
-
-void ClusterManager::sync_book(const Cluster& cluster) {
-  if (!book_seeded_) {
-    // First planning tick: mirror the live fleet into the book wholesale.
-    for (HostId h = 0; h < cluster.host_count(); ++h) {
-      if (cluster.crashed(h)) continue;
-      book_.add_host(h, plan_host_spec(cluster, h));
-    }
-    in_book_.assign(cluster.vm_count(), 0);
-    for (GlobalVmId gid = 0; gid < cluster.vm_count(); ++gid) {
-      if (cluster.vm_state(gid) != VmState::kRunning) continue;
-      book_.add_vm(gid, plan_vm_spec(cluster, gid));
-      in_book_[gid] = 1;
-    }
-    book_seeded_ = true;
-    pending_vms_.clear();
-    pending_crashes_.clear();
-    return;
-  }
-
-  if (in_book_.size() < cluster.vm_count()) in_book_.resize(cluster.vm_count(), 0);
-  for (const HostId h : pending_crashes_)
-    if (book_.has_host(h)) book_.remove_host(h);
-  pending_crashes_.clear();
-  for (const GlobalVmId vm : pending_vms_) {
-    // Membership mirrors the legacy filter: running VMs are planned,
-    // orphaned/lost ones are not. Specs themselves are static (purchased
-    // credit + memory), so a VM already on the right side of that line
-    // needs nothing — the event was a residency change, which the
-    // issuance pass below reconciles against the (unchanged) plan.
-    const bool live = cluster.vm_state(vm) == VmState::kRunning;
-    if (live && !in_book_[vm]) {
-      book_.add_vm(vm, plan_vm_spec(cluster, vm));
-      in_book_[vm] = 1;
-    } else if (!live && in_book_[vm]) {
-      book_.remove_vm(vm);
-      in_book_[vm] = 0;
-    }
-  }
-  pending_vms_.clear();
-}
-
 void ClusterManager::recover_orphans(common::SimTime now, Cluster& cluster) {
-  for (const GlobalVmId vm : cluster.orphaned_vms()) {
+  const std::vector<GlobalVmId> orphans = cluster.orphaned_vms();
+  if (orphans.empty()) return;
+  // Restarts never crash or revive a host, so the candidate order is the
+  // same for every orphan this tick.
+  const std::vector<HostId> order = restart_order(cluster, cfg_.efficient_first);
+  for (const GlobalVmId vm : orphans) {
     RetryState& retry = retry_[vm];
     if (now < retry.next_attempt) continue;
 
@@ -136,15 +120,6 @@ void ClusterManager::recover_orphans(common::SimTime now, Cluster& cluster) {
     // migrations are not reserved — an overshoot is corrected by the next
     // consolidation pass, exactly like any other drift.
     const ClusterVmConfig& vc = cluster.vm_config(vm);
-    std::vector<HostId> order;
-    for (HostId h = 0; h < cluster.host_count(); ++h)
-      if (!cluster.crashed(h)) order.push_back(h);
-    if (cfg_.efficient_first) {
-      std::stable_sort(order.begin(), order.end(), [&](HostId a, HostId b) {
-        return consolidation::packing_cost(platform::to_host_spec(cluster.host_class(a))) <
-               consolidation::packing_cost(platform::to_host_spec(cluster.host_class(b)));
-      });
-    }
     HostId target = 0;
     bool found = false;
     for (const HostId h : order) {
@@ -208,17 +183,15 @@ void ClusterManager::on_tick(common::SimTime now, Cluster& cluster) {
   recover_orphans(now, cluster);
 
   if (cfg_.consolidate) {
-    const std::uint64_t version = cluster.topology_version();
-    const bool can_skip = cfg_.incremental && !cfg_.replan_every_tick &&
-                          book_seeded_ && have_version_ && version == last_version_ &&
-                          pending_vms_.empty() && pending_crashes_.empty() && converged_;
+    const bool can_skip = !cfg_.replan_every_tick && planning_ticks_ > 0 &&
+                          cluster.topology_version() == last_version_ && converged_;
     if (can_skip) {
       // Provably unchanged tick: no residency/power/lifecycle change since
-      // the last pass (the topology version is stable), no pending events,
-      // and the last plan was fully worked off. The planner's inputs are
-      // static, so a re-plan would recompute the identical placement and
-      // the issuance loop would find every VM already on target — skipping
-      // the whole pass is observationally identical and O(1).
+      // the last pass (the topology version is stable) and the last plan
+      // was fully worked off. The planner's inputs are static, so a
+      // re-plan would recompute the identical placement and the issuance
+      // loop would find every VM already on target — skipping the whole
+      // pass is observationally identical and O(1).
       ++plans_skipped_;
     } else {
       const auto wall0 = std::chrono::steady_clock::now();
@@ -231,59 +204,40 @@ void ClusterManager::on_tick(common::SimTime now, Cluster& cluster) {
       // Observed load enters below, in the DVFS step.
       // Plan over the *live* fleet only: running VMs (orphaned/lost ones
       // have no slot to pack) onto non-crashed hosts. Plan indices are
-      // therefore dense over the survivors — plan_vms/plan_hosts map them
-      // back.
-      const consolidation::Placement* plan = nullptr;
-      consolidation::Placement legacy_plan;
-      std::vector<GlobalVmId> plan_vms;
-      std::vector<HostId> plan_hosts;
-      if (cfg_.incremental) {
-        // Delta path: reconcile pending events into the persistent book
-        // and let it replay only what changed. Byte-identical to the
-        // legacy branch below by the book's equivalence contract.
-        sync_book(cluster);
-        plan = &book_.plan();
-        plan_vms.reserve(book_.planned_vms().size());
-        for (const std::size_t id : book_.planned_vms())
-          plan_vms.push_back(static_cast<GlobalVmId>(id));
-        plan_hosts.reserve(book_.planned_hosts().size());
-        for (const std::size_t id : book_.planned_hosts())
-          plan_hosts.push_back(static_cast<HostId>(id));
-      } else {
-        // Legacy path: rebuild the dense spec vectors and re-run full FFD
-        // from scratch — the A/B baseline the scale bench prices the
-        // incremental planner against.
+      // therefore dense over the survivors — planned_ maps them back.
+      // Memo: the plan's inputs are static per id (VM configs are
+      // append-only, host classes fixed at construction), so an unchanged
+      // live set means place_ffd would return the stored plan again.
+      // replan_every_tick recomputes regardless — the reference the
+      // differential tests compare against.
+      LiveSet live = live_set(cluster);
+      if (cfg_.replan_every_tick || !has_plan() || live != planned_) {
         std::vector<consolidation::VmSpec> vms;
-        vms.reserve(cluster.vm_count());
-        for (GlobalVmId gid = 0; gid < cluster.vm_count(); ++gid) {
-          if (cluster.vm_state(gid) != VmState::kRunning) continue;
-          vms.push_back(plan_vm_spec(cluster, gid));
-          plan_vms.push_back(gid);
-        }
+        vms.reserve(live.vms.size());
+        for (const GlobalVmId gid : live.vms) vms.push_back(plan_vm_spec(cluster, gid));
         std::vector<consolidation::HostSpec> hosts;
-        hosts.reserve(cluster.host_count());
-        for (HostId h = 0; h < cluster.host_count(); ++h) {
-          if (cluster.crashed(h)) continue;
-          hosts.push_back(plan_host_spec(cluster, h));
-          plan_hosts.push_back(h);
-        }
-        legacy_plan = consolidation::place_ffd(vms, hosts, ffd_options(cfg_));
-        plan = &legacy_plan;
+        hosts.reserve(live.hosts.size());
+        for (const HostId h : live.hosts) hosts.push_back(plan_host_spec(cluster, h));
+        plan_ = consolidation::place_ffd(vms, hosts, ffd_options(cfg_));
+        planned_ = std::move(live);
+        ++plan_stats_.full_rebuilds;
+        plan_stats_.vms_scanned += vms.size();
+      } else {
+        ++plan_stats_.cached_plans;
       }
       // Unplaced VMs are an explicit outcome: they stay where they are, and
       // the count is surfaced so operators see unserved reservations.
-      last_plan_unplaced_ = plan->unplaced;
+      last_plan_unplaced_ = plan_.unplaced;
 
       std::size_t disagree = 0;
-      for (std::size_t i = 0; i < plan_vms.size(); ++i) {
-        const GlobalVmId gid = plan_vms[i];
-        const std::size_t target = plan->assignment[i];
+      for (std::size_t i = 0; i < planned_.vms.size(); ++i) {
+        const GlobalVmId gid = planned_.vms[i];
+        const std::size_t target = plan_.assignment[i];
         if (target == consolidation::kUnplaced) continue;
-        const HostId target_host = plan_hosts[target];
+        const HostId target_host = planned_.hosts[target];
         if (target_host == cluster.residence(gid)) continue;
-        // Off-plan. The issuance below matches the pre-incremental loop
-        // exactly (same order, same budget, same skips); the count feeds
-        // the convergence flag the early-out needs.
+        // Off-plan: issue within the budget, in plan order; the count
+        // feeds the convergence flag the early-out needs.
         ++disagree;
         if (migration_budget_left_ == 0) continue;
         if (cluster.migrating(gid)) continue;
@@ -298,7 +252,6 @@ void ClusterManager::on_tick(common::SimTime now, Cluster& cluster) {
       // version again and do.
       converged_ = disagree == 0;
       last_version_ = cluster.topology_version();
-      have_version_ = true;
       ++planning_ticks_;
       planner_ns_ += static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(

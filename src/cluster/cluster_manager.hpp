@@ -20,33 +20,52 @@
 // between ticks: once the fleet matches it, the manager issues no further
 // migrations until demand moves the DVFS step.
 //
-// Planning is DELTA-DRIVEN by default (ClusterManagerConfig::incremental):
-// the manager keeps a persistent consolidation::HostBook mirroring the
-// live fleet and feeds it a dirty set from cluster events — crash sweeps,
-// recoveries, losses — delivered through note_vm_event/note_host_crashed
-// and coalesced per id until the next tick. The book replays only what
-// changed (falling back to a full rebuild on host-set changes) and its
-// output is byte-identical to the from-scratch place_ffd the legacy path
-// (incremental = false) runs, so both modes issue the same migrations and
-// record the same energy. On ticks where nothing changed at all — the
-// topology version is stable, no events are pending, and the fleet already
-// matches the plan — the consolidation pass is skipped outright
-// (plans_skipped()); VOVO and DVFS still run, as they track live load.
-// replan_every_tick defeats the skip for debugging.
+// Planning is MEMOIZED on the live set: the running VM ids and the
+// non-crashed host ids, both ascending (LiveSet). A plan depends on nothing
+// else — VM configs are append-only and host classes are fixed at
+// construction — so a tick whose live set equals the last plan's reuses
+// that Placement verbatim (a memo hit), and any other tick re-runs
+// place_ffd from scratch (a miss). The key is the id lists themselves, not
+// a version counter, so no mutation site has to remember to invalidate it.
+// On ticks where nothing changed at all — the topology version is stable
+// and the fleet already matches the plan — the consolidation pass is
+// skipped outright (plans_skipped()); VOVO and DVFS still run, as they
+// track live load. replan_every_tick bypasses both the skip and the memo:
+// it is the from-scratch reference the differential tests and the scale
+// bench compare the default against.
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "cluster/cluster.hpp"
 #include "common/units.hpp"
-#include "consolidation/host_book.hpp"
+#include "consolidation/consolidation.hpp"
 
 namespace pas::cluster {
+
+/// The planner's whole input domain: running VM ids and non-crashed host
+/// ids, both ascending. Equal live sets mean equal place_ffd inputs.
+struct LiveSet {
+  std::vector<GlobalVmId> vms;
+  std::vector<HostId> hosts;
+  bool operator==(const LiveSet&) const = default;
+};
+
+/// One O(VMs + hosts) scan of the cluster's current live set.
+[[nodiscard]] LiveSet live_set(const Cluster& cluster);
+
+/// Planner-memo counters. The names predate the memo; delta_plans is
+/// always 0 and stays only so existing readers of the counter set keep
+/// compiling.
+struct PlanStats {
+  std::size_t cached_plans = 0;   ///< memo hits: live set unchanged, plan reused
+  std::size_t delta_plans = 0;    ///< always 0: there is no delta path
+  std::size_t full_rebuilds = 0;  ///< misses: place_ffd ran from scratch
+  std::size_t vms_scanned = 0;    ///< VMs placed by those from-scratch runs
+};
 
 struct ClusterManagerConfig {
   common::SimTime period = common::seconds(60);
@@ -79,12 +98,10 @@ struct ClusterManagerConfig {
   /// granularity (a retry due mid-period waits for the next tick).
   std::size_t max_restart_attempts = 5;
   common::SimTime restart_backoff = common::seconds(20);
-  /// Delta-driven planning through the persistent HostBook (see the file
-  /// header). Off = the legacy from-scratch spec rebuild + full FFD every
-  /// tick — the A/B baseline the scale bench prices the feature against.
-  bool incremental = true;
-  /// Debug knob: run the full consolidation pass even on provably
-  /// unchanged ticks (disables the early-out, not the book).
+  /// Reference mode: run the full consolidation pass with a from-scratch
+  /// place_ffd on every tick, bypassing both the unchanged-tick early-out
+  /// and the live-set memo — the oracle the differential tests and the
+  /// scale bench compare the default against.
   bool replan_every_tick = false;
 };
 
@@ -104,15 +121,6 @@ class ClusterManager {
   /// — the graceful-recovery property the chaos tests pin. Callable any
   /// time (the fault injector calls it at arm time).
   void add_brownout(common::SimTime from, common::SimTime until);
-
-  // --- cluster event feed (the Cluster calls these as faults/recoveries
-  // --- land; same-id events coalesce until the next planning tick) ---
-  /// A VM's lifecycle changed (orphaned, lost, restarted): reconcile its
-  /// book membership at the next planning tick.
-  void note_vm_event(GlobalVmId vm);
-  /// A host crashed: drop it from the book (full-rebuild fallback) at the
-  /// next planning tick.
-  void note_host_crashed(HostId host);
 
   // --- external control (the ctl::ControlPlane's policy gate) ---
   enum class ExternalAdmission : std::uint8_t {
@@ -142,34 +150,23 @@ class ClusterManager {
   /// Consolidation passes skipped by the unchanged-tick early-out.
   [[nodiscard]] std::size_t plans_skipped() const { return plans_skipped_; }
   /// Ticks that actually ran the consolidation pass, and the total wall
-  /// time they spent in it (spec sync + plan + issuance) — the scale
+  /// time they spent in it (live-set scan + plan + issuance) — the scale
   /// bench's planner-ns-per-tick gate divides these.
   [[nodiscard]] std::size_t planning_ticks() const { return planning_ticks_; }
   [[nodiscard]] std::uint64_t planner_ns() const { return planner_ns_; }
-  /// Events that coalesced into an already-pending one before a tick.
-  [[nodiscard]] std::size_t events_coalesced() const { return events_coalesced_; }
-  [[nodiscard]] const consolidation::HostBookStats& book_stats() const {
-    return book_.stats();
-  }
-  /// True once the incremental book mirrors the fleet (first planning tick
-  /// on the incremental path has run).
-  [[nodiscard]] bool book_ready() const { return book_seeded_; }
-  /// Aggregate of the book's live hosts / planned VMs — the per-shard
-  /// summary the federation's global planner balances. Only meaningful
-  /// when book_ready(); reflects the fleet as of the last reconcile (the
-  /// shard's planning cadence), which is exactly the staleness a real
-  /// cross-cluster tier would see.
-  [[nodiscard]] consolidation::BookTotals book_totals() const { return book_.totals(); }
+  /// Memo hits and misses of the consolidation passes that ran.
+  [[nodiscard]] const PlanStats& book_stats() const { return plan_stats_; }
+  /// True once a consolidation pass has computed a plan.
+  [[nodiscard]] bool has_plan() const { return plan_stats_.full_rebuilds > 0; }
+  /// The live set the last plan was computed for (empty before the first).
+  /// It moves only on planning ticks — the per-shard view the federation's
+  /// global planner balances, exactly as stale as a real cross-cluster
+  /// tier would see it.
+  [[nodiscard]] const LiveSet& planned() const { return planned_; }
 
  private:
   void recover_orphans(common::SimTime now, Cluster& cluster);
   void apply_dvfs(Cluster& cluster);
-  /// Seeds the book on first use, then reconciles the pending dirty set.
-  void sync_book(const Cluster& cluster);
-  [[nodiscard]] static consolidation::HostSpec plan_host_spec(const Cluster& cluster,
-                                                              HostId host);
-  [[nodiscard]] static consolidation::VmSpec plan_vm_spec(const Cluster& cluster,
-                                                          GlobalVmId vm);
 
   struct RetryState {
     std::size_t attempts = 0;
@@ -191,19 +188,15 @@ class ClusterManager {
   std::size_t restarts_abandoned_ = 0;
   std::size_t last_plan_unplaced_ = 0;
 
-  // Incremental-planning state.
-  consolidation::HostBook book_;
-  bool book_seeded_ = false;
-  std::vector<std::uint8_t> in_book_;        // per VM id: live in the book
-  std::set<GlobalVmId> pending_vms_;         // ordered: deterministic replay
-  std::set<HostId> pending_crashes_;
+  // Planning state: the memo (live set + its plan) and the early-out.
+  LiveSet planned_;
+  consolidation::Placement plan_;
+  PlanStats plan_stats_;
   std::uint64_t last_version_ = 0;
-  bool have_version_ = false;
   bool converged_ = false;
   std::size_t plans_skipped_ = 0;
   std::size_t planning_ticks_ = 0;
   std::uint64_t planner_ns_ = 0;
-  std::size_t events_coalesced_ = 0;
 };
 
 }  // namespace pas::cluster

@@ -190,24 +190,16 @@ void Federation::set_link_bandwidth(ShardId a, ShardId b, double mb_per_s) {
 
 Federation::ShardLoad Federation::shard_load(ShardId s) const {
   const cluster::Cluster& c = *shards_.at(s);
-  ShardLoad load;
+  // The shard manager's last-planned live set — as fresh as the shard's
+  // last planning tick, exactly the staleness a real cross-cluster control
+  // plane would see — or the live fleet itself before the first plan.
   const cluster::ClusterManager* mgr = c.manager();
-  if (mgr != nullptr && mgr->config().incremental && mgr->book_ready()) {
-    // The shard's own incremental book, summed — the aggregate is as fresh
-    // as the shard's last planning tick, exactly the staleness a real
-    // cross-cluster control plane would see.
-    const consolidation::BookTotals totals = mgr->book_totals();
-    load.capacity_mb = totals.host_memory_mb;
-    load.reserved_mb = totals.vm_memory_mb;
-  } else {
-    // Direct deterministic scan (no manager, or the book isn't seeded yet).
-    for (cluster::HostId h = 0; h < c.host_count(); ++h)
-      if (!c.crashed(h)) load.capacity_mb += c.host_memory_mb(h);
-    const auto nv = static_cast<cluster::GlobalVmId>(c.vm_count());
-    for (cluster::GlobalVmId g = 0; g < nv; ++g)
-      if (c.vm_state(g) == cluster::VmState::kRunning)
-        load.reserved_mb += c.vm_config(g).memory_mb;
-  }
+  const bool planned = mgr != nullptr && mgr->has_plan();
+  const cluster::LiveSet scanned = planned ? cluster::LiveSet{} : cluster::live_set(c);
+  const cluster::LiveSet& live = planned ? mgr->planned() : scanned;
+  ShardLoad load;
+  for (const cluster::HostId h : live.hosts) load.capacity_mb += c.host_memory_mb(h);
+  for (const cluster::GlobalVmId g : live.vms) load.reserved_mb += c.vm_config(g).memory_mb;
   load.reserved_mb += pending_in_mb_.at(s);
   return load;
 }

@@ -34,13 +34,14 @@
 // shard's manager is fenced off the VM for the flight's duration via
 // Cluster::set_federation_lock.
 //
-// Planner: each tick reads per-shard aggregate books — the manager's
-// incremental consolidation::HostBook summed by HostBook::totals() when
-// seeded, a direct deterministic scan otherwise — and issues at most
+// Planner: each tick reads per-shard aggregates — host memory and running
+// VMs' memory summed over the shard manager's last-planned live set
+// (ClusterManager::planned()), or over a direct scan of the live fleet
+// before the shard's first plan — and issues at most
 // max_cross_shard_per_tick moves from the most- to the least-utilized
 // shard while their reserved-memory utilization gap exceeds the
 // threshold. The global tier balances shard AGGREGATES; placement inside
-// a shard stays the shard manager's delta-driven business.
+// a shard stays the shard manager's business.
 #pragma once
 
 #include <cstddef>
@@ -155,9 +156,11 @@ class Federation {
   [[nodiscard]] std::size_t moves_issued() const { return moves_issued_; }
 
   /// Per-shard aggregate the planner balances: plannable capacity vs
-  /// reserved memory (from the shard manager's HostBook when seeded, a
-  /// direct scan otherwise), plus memory already in flight toward the
-  /// shard so concurrent planner ticks don't double-fill a destination.
+  /// reserved memory (over the shard manager's last-planned live set, so
+  /// a crash or departure shows only after the shard's next planning tick;
+  /// a live scan before its first plan), plus memory already in flight
+  /// toward the shard so concurrent planner ticks don't double-fill a
+  /// destination.
   struct ShardLoad {
     double capacity_mb = 0.0;
     double reserved_mb = 0.0;

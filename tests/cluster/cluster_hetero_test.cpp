@@ -20,6 +20,9 @@
 
 #include "cluster_fuzz_common.hpp"
 #include "common/thread_pool.hpp"
+#include "consolidation/consolidation.hpp"
+#include "platform/host_class.hpp"
+#include "workload/synthetic.hpp"
 
 namespace pas::cluster {
 namespace {
@@ -129,6 +132,54 @@ TEST(ClusterHeteroTest, HostsBuiltFromTheirClasses) {
     }
     EXPECT_EQ(cluster->host_memory_mb(h), cls.memory_mb) << "host " << h;
   }
+}
+
+// Orphan recovery on a mixed fleet: a crashed host's VM restarts on the
+// first live host with room in the manager's candidate order — ascending
+// packing_cost under efficient_first (ties by id), plain ascending id
+// without it. Fleet: the cheap elite hosts are 0 (crashes, holding the
+// orphan), 3 (full) and 4; 1 is an optiplex and 2 a xeon, both with room.
+HostId restart_target(bool efficient_first) {
+  ClusterConfig cc;
+  cc.host_classes = {platform::elite_8300(), platform::optiplex_755(),
+                     platform::xeon_e5_2620(), platform::elite_8300(),
+                     platform::elite_8300()};
+  ClusterVmConfig orphan;
+  orphan.vm.name = "orphan";
+  orphan.vm.credit = 10.0;
+  orphan.memory_mb = 1000.0;
+  ClusterVmConfig filler = orphan;
+  filler.vm.name = "filler";
+  filler.memory_mb = 7500.0;  // leaves 692 MB on an 8 GB elite
+  Cluster cluster(std::move(cc));
+  const GlobalVmId vm = cluster.add_vm(orphan, std::make_unique<wl::IdleGuest>(), 0);
+  (void)cluster.add_vm(filler, std::make_unique<wl::IdleGuest>(), 3);
+  ClusterManagerConfig mc;
+  mc.period = common::seconds(5);
+  mc.consolidate = false;  // recovery alone decides the placement
+  mc.efficient_first = efficient_first;
+  cluster.install_manager(std::make_unique<ClusterManager>(mc));
+
+  cluster.run_until(common::seconds(2));
+  EXPECT_TRUE(cluster.crash_host(0, /*restart_orphans=*/true));
+  cluster.run_until(common::seconds(5));
+  EXPECT_EQ(cluster.recoveries().size(), 1u);
+  EXPECT_EQ(cluster.vm_state(vm), VmState::kRunning);
+  return cluster.residence(vm);
+}
+
+TEST(ClusterHeteroTest, OrphanRestartsOnCheapestLiveHostWithRoom) {
+  const auto cost = [](const platform::HostClass& c) {
+    return consolidation::packing_cost(platform::to_host_spec(c));
+  };
+  // The fleet above is only discriminating if elite is the cheapest class.
+  ASSERT_LT(cost(platform::elite_8300()), cost(platform::xeon_e5_2620()));
+  ASSERT_LT(cost(platform::xeon_e5_2620()), cost(platform::optiplex_755()));
+
+  EXPECT_EQ(restart_target(/*efficient_first=*/true), 4u)
+      << "cheapest live host with room (0 crashed, 3 full)";
+  EXPECT_EQ(restart_target(/*efficient_first=*/false), 1u)
+      << "lowest live id with room";
 }
 
 }  // namespace
