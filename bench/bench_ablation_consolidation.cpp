@@ -14,7 +14,7 @@
 int main(int argc, char** argv) {
   using namespace pas;
   const common::Flags flags{argc, argv};
-  const int vm_count = static_cast<int>(flags.get_int("vms", 24));
+  const int vm_count = static_cast<int>(flags.get_count("vms", 24));
 
   const auto fleet =
       platform::planner_fleet(static_cast<std::size_t>(vm_count), platform::optiplex_755());

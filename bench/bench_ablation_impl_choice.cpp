@@ -90,7 +90,7 @@ StepResult run_design(const Design& d, int cycles) {
 
 int main(int argc, char** argv) {
   const common::Flags flags{argc, argv};
-  const int cycles = static_cast<int>(flags.get_int("cycles", 5));
+  const int cycles = static_cast<int>(flags.get_count("cycles", 5));
 
   std::printf("=== Ablation A: PAS implementation choices (paper §4.1) ===\n");
   std::printf("square-wave thrash on a 90%%-credit VM, %d idle/thrash cycles;\n", cycles);

@@ -6,15 +6,18 @@
 // tenants whose web servers, batch jobs and thrashing loads come and go
 // across the day while most capacity sits reserved-but-idle — exactly the
 // long-horizon regime the dynamic-reconfiguration studies need. The bench
-// asserts the fast path produces byte-identical traces, then records both
-// rates and the speedup in BENCH_core.json.
+// asserts the fast path is byte-identical to the reference loop
+// (check::first_divergence, host order — printed when it fails), then
+// records both rates and the speedup in BENCH_core.json. Exit codes: 0
+// pass, 1 a gate failed, 2 bad usage.
 //
 // Usage: bench_core_throughput [--smoke] [--horizon=SECONDS]
 //                              [--out=BENCH_core.json]
-#include <chrono>
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "common/flags.hpp"
@@ -25,6 +28,8 @@
 #include "workload/pi_app.hpp"
 #include "workload/synthetic.hpp"
 #include "workload/web_app.hpp"
+#include "differential.hpp"
+#include "json.hpp"
 #include "machine.hpp"
 
 namespace {
@@ -95,55 +100,14 @@ std::unique_ptr<pas::hv::Host> build_host(bool fast_path, SimTime horizon) {
   return host;
 }
 
-bool traces_identical(const pas::hv::Host& a, const pas::hv::Host& b) {
-  const auto sa = a.trace().samples();
-  const auto sb = b.trace().samples();
-  if (sa.size() != sb.size()) return false;
-  for (std::size_t i = 0; i < sa.size(); ++i) {
-    const auto ra = sa[i];
-    const auto rb = sb[i];
-    if (ra.t != rb.t || ra.freq_mhz != rb.freq_mhz ||
-        ra.global_load_pct != rb.global_load_pct ||
-        ra.absolute_load_pct != rb.absolute_load_pct)
-      return false;
-    for (std::size_t v = 0; v < ra.vm_global_pct.size(); ++v) {
-      if (ra.vm_global_pct[v] != rb.vm_global_pct[v] ||
-          ra.vm_absolute_pct[v] != rb.vm_absolute_pct[v] ||
-          ra.vm_credit_pct[v] != rb.vm_credit_pct[v] ||
-          ra.vm_saturated[v] != rb.vm_saturated[v])
-        return false;
-    }
-  }
-  if (a.idle_time() != b.idle_time()) return false;
-  // Energy integrates per-P-state integer time: exact across loops.
-  if (a.energy().joules() != b.energy().joules()) return false;
-  for (pas::common::VmId v = 0; v < a.vm_count(); ++v) {
-    if (a.vm(v).total_busy != b.vm(v).total_busy ||
-        a.vm(v).total_work != b.vm(v).total_work)
-      return false;
-  }
-  return true;
-}
-
-double run_timed(pas::hv::Host& host, SimTime horizon) {
-  const auto start = std::chrono::steady_clock::now();
-  host.run_until(horizon);
-  const auto stop = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(stop - start).count();
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  const pas::common::Flags flags{argc, argv};
+int run_bench(const pas::common::Flags& flags) {
   const long horizon_s = flags.get_int("horizon", flags.has("smoke") ? 400 : 4000);
-  if (horizon_s < 32) {  // shorter horizons make the staggered windows empty
-    std::fprintf(stderr, "bench_core_throughput: --horizon must be >= 32 (got %ld)\n",
-                 horizon_s);
-    return 2;
-  }
+  if (horizon_s < 32)  // shorter horizons make the staggered windows empty
+    throw std::invalid_argument("--horizon must be >= 32 (got " + std::to_string(horizon_s) +
+                                ")");
   const std::string out = flags.get_or("out", "BENCH_core.json");
   const SimTime horizon = seconds(horizon_s);
+  const auto rate = [horizon_s](double wall) { return static_cast<double>(horizon_s) / wall; };
 
   std::printf("=== core throughput: 32-VM hosting center, %ld simulated s ===\n",
               horizon_s);
@@ -151,64 +115,62 @@ int main(int argc, char** argv) {
   // --only=fast / --only=slow runs a single mode (profiling); no JSON then.
   const std::string only = flags.get_or("only", "");
   if (!only.empty()) {
-    if (only != "fast" && only != "slow") {
-      std::fprintf(stderr, "bench_core_throughput: --only takes 'fast' or 'slow'\n");
-      return 2;
-    }
+    if (only != "fast" && only != "slow")
+      throw std::invalid_argument("--only takes 'fast' or 'slow'");
     auto host = build_host(/*fast_path=*/only == "fast", horizon);
-    const double wall = run_timed(*host, horizon);
-    std::printf("  %s loop: %8.2f wall ms   %10.0f sim-s/wall-s\n", only.c_str(),
-                wall * 1e3, static_cast<double>(horizon_s) / wall);
+    const double wall = pas::bench::timed(*host, horizon);
+    std::printf("  %s loop: %8.2f wall ms   %10.0f sim-s/wall-s\n", only.c_str(), wall * 1e3,
+                rate(wall));
     return 0;
   }
 
-  auto slow_host = build_host(/*fast_path=*/false, horizon);
-  const double slow_wall = run_timed(*slow_host, horizon);
-  const double slow_rate = static_cast<double>(horizon_s) / slow_wall;
-  std::printf("  slow-stepped loop : %8.2f wall ms   %10.0f sim-s/wall-s\n",
-              slow_wall * 1e3, slow_rate);
-
-  auto fast_host = build_host(/*fast_path=*/true, horizon);
-  const double fast_wall = run_timed(*fast_host, horizon);
-  const double fast_rate = static_cast<double>(horizon_s) / fast_wall;
-  std::printf("  event-driven loop : %8.2f wall ms   %10.0f sim-s/wall-s\n",
-              fast_wall * 1e3, fast_rate);
-
-  const bool identical = traces_identical(*slow_host, *fast_host);
-  const double speedup = slow_wall / fast_wall;
+  const auto d = pas::bench::differential<pas::hv::Host>(
+      [&] { return build_host(/*fast_path=*/false, horizon); },
+      [&] { return build_host(/*fast_path=*/true, horizon); }, nullptr, horizon);
+  const double speedup = d.ref_wall / d.fast_wall;
+  std::printf("  slow-stepped loop : %8.2f wall ms   %10.0f sim-s/wall-s\n", d.ref_wall * 1e3,
+              rate(d.ref_wall));
+  std::printf("  event-driven loop : %8.2f wall ms   %10.0f sim-s/wall-s\n", d.fast_wall * 1e3,
+              rate(d.fast_wall));
   std::printf("  speedup: %.2fx   traces identical: %s\n", speedup,
-              identical ? "yes" : "NO — BUG");
+              d.reference.identical == true ? "yes" : "NO");
 
-  {
-    std::ofstream js{out};
-    if (!js) {
-      std::fprintf(stderr, "bench_core_throughput: cannot write %s\n", out.c_str());
-      return 2;
-    }
-    char buf[1024];
-    std::snprintf(buf, sizeof(buf),
-                  "{\n"
-                  "  \"bench\": \"core_throughput\",\n"
-                  "%s"
-                  "  \"scenario\": \"hosting_center_32vm\",\n"
-                  "  \"vms\": %zu,\n"
-                  "  \"simulated_seconds\": %ld,\n"
-                  "  \"slow\": {\"wall_seconds\": %.6f, \"sim_per_wall\": %.1f},\n"
-                  "  \"fast\": {\"wall_seconds\": %.6f, \"sim_per_wall\": %.1f},\n"
-                  "  \"speedup\": %.3f,\n"
-                  "  \"traces_identical\": %s\n"
-                  "}\n",
-                  pas::bench::machine_json().c_str(), kVmCount, horizon_s, slow_wall,
-                  slow_rate, fast_wall, fast_rate,
-                  speedup, identical ? "true" : "false");
-    js << buf;
-    std::printf("  written to %s\n", out.c_str());
+  std::ofstream js{out};
+  if (!js) throw std::runtime_error("cannot write " + out);
+  js << pas::bench::Json{}
+            .str("bench", "core_throughput")
+            .raw("machine", pas::bench::machine_json())
+            .str("scenario", "hosting_center_32vm")
+            .count("vms", kVmCount)
+            .count("simulated_seconds", static_cast<std::uint64_t>(horizon_s))
+            .obj("slow", pas::bench::timing(d.ref_wall, rate(d.ref_wall)))
+            .obj("fast", pas::bench::timing(d.fast_wall, rate(d.fast_wall)))
+            .num("speedup", speedup, 3)
+            .verdict("traces_identical", d.reference.identical)
+            .render()
+     << "\n";
+  std::printf("  written to %s\n", out.c_str());
+
+  if (d.reference.identical != true) {
+    std::printf("  FAIL: fast path diverged from the reference loop\n"
+                "  first divergence: %s\n",
+                d.reference.divergence.c_str());
+    return 1;
   }
-
-  if (!identical) return 1;
   if (flags.has("require-speedup") && speedup < 3.0) {
     std::printf("  FAIL: speedup %.2fx below the 3x bar\n", speedup);
     return 1;
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run_bench(pas::common::Flags{argc, argv});
+  } catch (const std::exception& err) {
+    std::fprintf(stderr, "bench_core_throughput: %s\n", err.what());
+    return 2;
+  }
 }

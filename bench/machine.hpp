@@ -12,7 +12,7 @@
 
 namespace pas::bench {
 
-/// `"machine": {...},\n` — one line of a bench's top-level JSON object.
+/// The `"machine"` value of a bench's top-level JSON object: `{"nproc": ...}`.
 inline std::string machine_json() {
 #if defined(__clang__)
   const std::string compiler = "clang " __clang_version__;
@@ -21,8 +21,8 @@ inline std::string machine_json() {
 #else
   const std::string compiler = "unknown";
 #endif
-  return "  \"machine\": {\"nproc\": " + std::to_string(std::thread::hardware_concurrency()) +
-         ", \"compiler\": \"" + compiler + "\", \"build_type\": \"" PAS_BUILD_TYPE "\"},\n";
+  return "{\"nproc\": " + std::to_string(std::thread::hardware_concurrency()) +
+         ", \"compiler\": \"" + compiler + "\", \"build_type\": \"" PAS_BUILD_TYPE "\"}";
 }
 
 }  // namespace pas::bench

@@ -16,8 +16,8 @@
 int main(int argc, char** argv) {
   using namespace pas;
   const common::Flags flags{argc, argv};
-  const auto vm_count = static_cast<std::size_t>(flags.get_int("vms", 32));
-  const auto host_count = static_cast<std::size_t>(flags.get_int("hosts", 16));
+  const auto vm_count = flags.get_count("vms", 32);
+  const auto host_count = flags.get_count("hosts", 16);
 
   // --fleet=mixed packs against the heterogeneous platform catalog (with
   // NUMA-aware costs); the default is the classic uniform Optiplex fleet.
@@ -34,9 +34,7 @@ int main(int argc, char** argv) {
 
   // A plausible mixed fleet: web (small mem, modest CPU), app (mid), db
   // (big mem, hungrier CPU), drawn deterministically.
-  common::Rng rng{flags.get_int("seed", 42) >= 0
-                      ? static_cast<std::uint64_t>(flags.get_int("seed", 42))
-                      : 42u};
+  common::Rng rng{flags.get_count("seed", 42)};
   std::vector<consolidation::VmSpec> vms;
   for (std::size_t i = 0; i < vm_count; ++i) {
     consolidation::VmSpec v;

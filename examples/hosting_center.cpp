@@ -73,8 +73,8 @@ int main(int argc, char** argv) {
   const common::Flags flags{argc, argv};
   scenario::HostingClusterConfig base;
   base.horizon = common::seconds(flags.get_int("hours", 2) * 3600);
-  base.hosts = static_cast<std::size_t>(flags.get_int("hosts", 8));
-  base.vms = static_cast<std::size_t>(flags.get_int("vms", 64));
+  base.hosts = flags.get_count("hosts", 8);
+  base.vms = flags.get_count("vms", 64);
 
   std::printf("Hosting-center audit: %zu tenants on %zu hosts, %lld h.\n\n", base.vms,
               base.hosts, static_cast<long long>(base.horizon.sec() / 3600));

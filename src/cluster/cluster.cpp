@@ -117,24 +117,9 @@ GlobalVmId Cluster::add_vm(ClusterVmConfig config, std::unique_ptr<wl::Workload>
   if (config.memory_mb <= 0.0)
     throw std::invalid_argument("Cluster: VM memory must be positive");
 
-  const auto gid = static_cast<GlobalVmId>(vm_cfgs_.size());
   // Lazy topology: the VM gets a slot on its home only; other hosts learn
   // about it if a migration or recovery ever lands it there.
-  const common::VmId slot_id = hosts_[home]->add_vm(config.vm, std::move(workload));
-  sla_.register_vm(gid, config.vm.credit);
-  vm_cfgs_.push_back(std::move(config));
-  home_.push_back(home);
-  home_slot_.push_back(slot_id);
-  vm_slots_.emplace_back();
-  vm_state_.push_back(VmState::kRunning);
-  held_wl_.emplace_back();
-  held_since_.emplace_back();
-  downtime_.emplace_back();
-  migration_count_.push_back(0);
-  fed_locked_.push_back(0);
-  record_slot(home, gid, slot_id);
-  ++topology_version_;
-  return gid;
+  return register_vm(std::move(config), std::move(workload), home, VmState::kRunning);
 }
 
 GlobalVmId Cluster::admit_inbound(ClusterVmConfig config, HostId home) {
@@ -144,25 +129,31 @@ GlobalVmId Cluster::admit_inbound(ClusterVmConfig config, HostId home) {
   if (crashed_[home])
     throw std::invalid_argument("Cluster: inbound destination host crashed");
 
-  const auto gid = static_cast<GlobalVmId>(vm_cfgs_.size());
   // Mid-run registration rides the same between-segments Host::add_vm path
   // ensure_slot uses: the slot parks an IdleGuest until the federation
   // link's attach delivers the guest (workload + credit) into it.
-  const common::VmId slot_id =
-      hosts_[home]->add_vm(config.vm, std::make_unique<wl::IdleGuest>());
+  const GlobalVmId gid = register_vm(std::move(config), std::make_unique<wl::IdleGuest>(),
+                                     home, VmState::kInbound);
+  set_powered(home, true);  // the destination must be receiving
+  return gid;
+}
+
+GlobalVmId Cluster::register_vm(ClusterVmConfig config, std::unique_ptr<wl::Workload> workload,
+                                HostId home, VmState state) {
+  const auto gid = static_cast<GlobalVmId>(vm_cfgs_.size());
+  const common::VmId slot_id = hosts_[home]->add_vm(config.vm, std::move(workload));
   sla_.register_vm(gid, config.vm.credit);
   vm_cfgs_.push_back(std::move(config));
   home_.push_back(home);
   home_slot_.push_back(slot_id);
   vm_slots_.emplace_back();
-  vm_state_.push_back(VmState::kInbound);
+  vm_state_.push_back(state);
   held_wl_.emplace_back();
   held_since_.emplace_back();
   downtime_.emplace_back();
   migration_count_.push_back(0);
   fed_locked_.push_back(0);
   record_slot(home, gid, slot_id);
-  set_powered(home, true);  // the destination must be receiving
   ++topology_version_;
   return gid;
 }
@@ -210,27 +201,24 @@ void Cluster::record_slot(HostId host, GlobalVmId vm, common::VmId slot) {
             {host, slot});
 }
 
-bool Cluster::has_slot(HostId host, GlobalVmId vm) const {
+const std::pair<GlobalVmId, common::VmId>* Cluster::find_slot(HostId host,
+                                                              GlobalVmId vm) const {
   const auto& hs = host_slots_.at(host);
   const auto it = std::lower_bound(hs.begin(), hs.end(), vm,
                                    [](const auto& e, GlobalVmId g) { return e.first < g; });
-  return it != hs.end() && it->first == vm;
+  return it != hs.end() && it->first == vm ? &*it : nullptr;
 }
 
+bool Cluster::has_slot(HostId host, GlobalVmId vm) const { return find_slot(host, vm) != nullptr; }
+
 common::VmId Cluster::slot_on(HostId host, GlobalVmId vm) const {
-  const auto& hs = host_slots_.at(host);
-  const auto it = std::lower_bound(hs.begin(), hs.end(), vm,
-                                   [](const auto& e, GlobalVmId g) { return e.first < g; });
-  if (it == hs.end() || it->first != vm)
-    throw std::invalid_argument("Cluster: VM has no slot on that host");
-  return it->second;
+  const auto* entry = find_slot(host, vm);
+  if (entry == nullptr) throw std::invalid_argument("Cluster: VM has no slot on that host");
+  return entry->second;
 }
 
 common::VmId Cluster::ensure_slot(HostId host, GlobalVmId vm) {
-  const auto& hs = host_slots_[host];
-  const auto it = std::lower_bound(hs.begin(), hs.end(), vm,
-                                   [](const auto& e, GlobalVmId g) { return e.first < g; });
-  if (it != hs.end() && it->first == vm) return it->second;
+  if (const auto* entry = find_slot(host, vm)) return entry->second;
   // First touch: park an IdleGuest in a freshly created slot. Mid-run this
   // is the Host::add_vm between-segments path.
   const common::VmId slot = hosts_[host]->add_vm(vm_cfgs_[vm].vm,
@@ -393,12 +381,10 @@ bool Cluster::crash_host(HostId host, bool restart_orphans) {
   // VMs that actually touched this host can be resident on it.
   for (const auto& [gid, s] : host_slots_[host]) {
     if (home_[gid] != host || vm_state_[gid] != VmState::kRunning) continue;
-    auto workload = h.swap_workload(s, std::make_unique<wl::IdleGuest>());
     // Crash semantics for credit: the balance dies with the host (unlike a
     // migration's export, nothing carries it), and the cap drops to zero so
     // the dead slot earns nothing.
-    h.scheduler().set_cap(s, 0.0);
-    h.scheduler().import_credit(s, common::SimTime{});
+    auto workload = drain(h, s);
     if (restart_orphans) {
       vm_state_[gid] = VmState::kOrphaned;
       held_wl_[gid] = std::move(workload);
@@ -422,21 +408,10 @@ bool Cluster::restart_vm(GlobalVmId vm, HostId to) {
   if (to >= hosts_.size()) throw std::invalid_argument("Cluster: bad host id");
   if (vm_state_[vm] != VmState::kOrphaned || crashed_[to]) return false;
 
-  set_powered(to, true);  // recovery may revive a VOVO-parked host
-  hv::Host& dst = *hosts_[to];
-  const common::VmId s = ensure_slot(to, vm);
-  (void)dst.swap_workload(s, std::move(held_wl_[vm]));
-  const ClusterVmConfig& cfg = vm_cfgs_[vm];
-  // Same re-attach contract as a migration's attach: purchased credit
-  // compensated for the destination's current P-state — but with an empty
-  // balance, because the crash burned whatever the slot held.
-  dst.scheduler().set_cap(s, core::compensated_credit(cfg.vm.credit, dst.cpu().ladder(),
-                                                      dst.cpu().current_index()));
-  dst.scheduler().import_credit(s, common::SimTime{});
-  home_[vm] = to;
-  home_slot_[vm] = s;
-  vm_state_[vm] = VmState::kRunning;
-  ++topology_version_;
+  // Same re-attach contract as a migration's attach, with an empty
+  // balance: the crash burned whatever the slot held. Recovery may revive
+  // a VOVO-parked host.
+  reattach(vm, to);
   const common::SimTime outage = now_ - held_since_[vm];
   if (outage > common::SimTime{})
     sla_.record_window(vm, outage, 0.0, /*saturated=*/true);
@@ -449,14 +424,10 @@ bool Cluster::stop_vm(GlobalVmId vm) {
   if (vm_state_[vm] != VmState::kRunning || engine_->in_flight(vm)) return false;
   if (fed_locked_[vm]) return false;  // a federation flight owns its placement
 
-  hv::Host& h = *hosts_[home_[vm]];
-  const common::VmId s = home_slot_[vm];
   // Same drain as a crash sweep — workload off-host, cap 0, balance gone —
   // but into the held store on purpose, and with no SLA consequence: the
   // monitor simply stops sampling a non-running VM (sample_sla's filter).
-  held_wl_[vm] = h.swap_workload(s, std::make_unique<wl::IdleGuest>());
-  h.scheduler().set_cap(s, 0.0);
-  h.scheduler().import_credit(s, common::SimTime{});
+  held_wl_[vm] = drain(*hosts_[home_[vm]], home_slot_[vm]);
   vm_state_[vm] = VmState::kStopped;
   ++topology_version_;
   return true;
@@ -467,22 +438,34 @@ bool Cluster::start_vm(GlobalVmId vm, HostId to) {
   if (to >= hosts_.size()) throw std::invalid_argument("Cluster: bad host id");
   if (vm_state_[vm] != VmState::kStopped || crashed_[to]) return false;
 
-  set_powered(to, true);  // resuming may revive a VOVO-parked host
+  // Re-attach like a recovery restart, but without the SLA outage charge:
+  // the interval was a requested stop, not a violation.
+  reattach(vm, to);
+  return true;
+}
+
+std::unique_ptr<wl::Workload> Cluster::drain(hv::Host& host, common::VmId slot) {
+  auto workload = host.swap_workload(slot, std::make_unique<wl::IdleGuest>());
+  host.scheduler().set_cap(slot, 0.0);
+  host.scheduler().import_credit(slot, common::SimTime{});
+  return workload;
+}
+
+void Cluster::reattach(GlobalVmId vm, HostId to) {
+  set_powered(to, true);
   hv::Host& dst = *hosts_[to];
   const common::VmId s = ensure_slot(to, vm);
   (void)dst.swap_workload(s, std::move(held_wl_[vm]));
-  const ClusterVmConfig& cfg = vm_cfgs_[vm];
-  // Re-attach like a recovery restart — compensated purchased credit,
-  // empty balance — but without the SLA outage charge: the interval was a
-  // requested stop, not a violation.
-  dst.scheduler().set_cap(s, core::compensated_credit(cfg.vm.credit, dst.cpu().ladder(),
+  // Purchased credit compensated for the destination's current P-state,
+  // over an empty balance.
+  dst.scheduler().set_cap(s, core::compensated_credit(vm_cfgs_[vm].vm.credit,
+                                                      dst.cpu().ladder(),
                                                       dst.cpu().current_index()));
   dst.scheduler().import_credit(s, common::SimTime{});
   home_[vm] = to;
   home_slot_[vm] = s;
   vm_state_[vm] = VmState::kRunning;
   ++topology_version_;
-  return true;
 }
 
 void Cluster::mark_lost(GlobalVmId vm) {

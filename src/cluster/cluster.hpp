@@ -299,6 +299,7 @@ class Cluster {
   /// observe the post-crash world deterministically.
   void install_control(std::unique_ptr<ctl::ControlPlane> control);
   [[nodiscard]] ctl::ControlPlane* control() { return control_.get(); }
+  [[nodiscard]] const ctl::ControlPlane* control() const { return control_.get(); }
 
   /// Schedules an arbitrary callback at a fixed queue position: hooks are
   /// armed at run start, after the injector and control plane, in call
@@ -464,6 +465,17 @@ class Cluster {
   /// first touch.
   common::VmId ensure_slot(HostId host, GlobalVmId vm);
   void record_slot(HostId host, GlobalVmId vm, common::VmId slot);
+  /// The VM's (id, slot) entry in host_slots_[host], or null.
+  [[nodiscard]] const std::pair<GlobalVmId, common::VmId>* find_slot(HostId host,
+                                                                     GlobalVmId vm) const;
+  /// Appends a VM to every per-VM table, slotted on `home` with `workload`.
+  GlobalVmId register_vm(ClusterVmConfig config, std::unique_ptr<wl::Workload> workload,
+                         HostId home, VmState state);
+  /// Takes a slot's guest off its host — an IdleGuest parks in the slot,
+  /// the cap drops to 0 and the credit balance is gone — and returns it.
+  std::unique_ptr<wl::Workload> drain(hv::Host& host, common::VmId slot);
+  /// Puts a held guest (stopped or orphaned) back to work on `to`.
+  void reattach(GlobalVmId vm, HostId to);
 
   ClusterConfig cfg_;
   /// One class per host — cfg_.host_classes verbatim, or synthesized from

@@ -72,4 +72,12 @@ long Flags::get_int(const std::string& key, long def) const {
   return parsed;
 }
 
+std::size_t Flags::get_count(const std::string& key, std::size_t def) const {
+  const auto v = get(key);
+  if (!v) return def;
+  const long parsed = get_int(key, 0);
+  if (parsed < 0) fail(key, *v, "expected a non-negative count");
+  return static_cast<std::size_t>(parsed);
+}
+
 }  // namespace pas::common

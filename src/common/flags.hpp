@@ -4,6 +4,7 @@
 // collected as a positional. No external dependencies, no global state.
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <optional>
 #include <string>
@@ -27,6 +28,10 @@ class Flags {
   /// to a numeric getter.
   [[nodiscard]] double get_double(const std::string& key, double def) const;
   [[nodiscard]] long get_int(const std::string& key, long def) const;
+  /// Count and seed flags: get_int, but a negative value throws (spelled
+  /// back as `--key=value`) instead of wrapping to ~2^64 through a size_t
+  /// cast.
+  [[nodiscard]] std::size_t get_count(const std::string& key, std::size_t def) const;
   [[nodiscard]] const std::vector<std::string>& positionals() const { return positionals_; }
 
  private:

@@ -173,6 +173,7 @@ class Host {
     activity_dirty_ = true;
     return cpufreq_;
   }
+  [[nodiscard]] const cpu::Cpufreq& cpufreq() const { return cpufreq_; }
   [[nodiscard]] const cpu::CpuModel& cpu() const { return cpu_; }
   [[nodiscard]] cpu::CpuModel& cpu_mutable() {
     activity_dirty_ = true;

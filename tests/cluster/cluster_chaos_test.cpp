@@ -2,19 +2,16 @@
 // injected faults. Every scenario seed of the shared corpus gets a fault
 // schedule drawn from the same seed (host crashes, migration aborts, link
 // degradation, planner brownouts — fault::draw_fault_plan) and is then run
-// five ways: reference slow-stepped loop, event-driven fast path, and the
-// parallel engine at 2, 4 and hardware threads. All five must agree on
-// every observable expect_identical checks — including the new fault-path
-// ones (migration outcomes, VM lifecycle states, crash flags, recovery
-// events).
+// on the reference slow-stepped loop, the event-driven fast path, and the
+// parallel engine at 2, 4 and hardware threads. All must agree on every
+// observable check::first_divergence compares — the fault-path ones
+// included (migration outcomes, VM lifecycle states, crash flags,
+// recovery events).
 //
 // On top of identity, every migration record is held to the conservation
-// contract per outcome:
-//   kCompleted / kAbortedStopCopy — exported == imported (the balance
-//     landed on the destination, or rolled back onto the source);
-//   kAbortedPrecopy — nothing ever moved: both zero;
-//   kLostSourceCrash — imported stays zero; the record is the explicit
-//     acknowledgment that the crash (not the engine) destroyed the balance.
+// contract per outcome (fuzz::check_conservation); for kLostSourceCrash
+// the record is the explicit acknowledgment that the crash (not the
+// engine) destroyed the balance.
 //
 // The scenarios run with the migration link slowed to 25 MB/s (a knob the
 // chaos suite alone overrides — scenario draws are byte-unchanged): guest
@@ -29,16 +26,13 @@
 #include <memory>
 
 #include "cluster_fuzz_common.hpp"
-#include "common/thread_pool.hpp"
 #include "fault/fault.hpp"
 
 namespace pas::cluster {
 namespace {
 
-using fuzz::build_cluster;
 using fuzz::draw_scenario;
-using fuzz::expect_identical;
-using fuzz::run_spec;
+using fuzz::expect_engines_identical;
 using fuzz::ScenarioSpec;
 
 fault::FaultConfig chaos_config() {
@@ -54,49 +48,11 @@ fault::FaultConfig chaos_config() {
 /// What a shard saw across its seeds — for the vacuity guards.
 struct ChaosActivity {
   std::size_t crashes = 0;
-  std::size_t aborts_precopy = 0;
-  std::size_t aborts_stopcopy = 0;
-  std::size_t lost_in_flight = 0;
+  fuzz::OutcomeCounts outcomes{};
   std::size_t degrades = 0;
   std::size_t brownout_ticks = 0;
   std::size_t recoveries = 0;
-  std::size_t completed = 0;
 };
-
-void check_conservation(const Cluster& cluster, std::uint64_t seed,
-                        ChaosActivity& activity) {
-  for (const MigrationRecord& r : cluster.engine().completed()) {
-    switch (r.outcome) {
-      case MigrationOutcome::kCompleted:
-        ++activity.completed;
-        EXPECT_EQ(r.credit_exported, r.credit_imported)
-            << "seed " << seed << " vm " << r.vm << ": completed flight leaked credit";
-        break;
-      case MigrationOutcome::kAbortedStopCopy:
-        ++activity.aborts_stopcopy;
-        EXPECT_EQ(r.credit_exported, r.credit_imported)
-            << "seed " << seed << " vm " << r.vm << ": rollback leaked credit";
-        break;
-      case MigrationOutcome::kAbortedPrecopy:
-        ++activity.aborts_precopy;
-        EXPECT_EQ(r.credit_exported, common::SimTime{})
-            << "seed " << seed << " vm " << r.vm << ": pre-copy abort exported credit";
-        EXPECT_EQ(r.credit_imported, common::SimTime{})
-            << "seed " << seed << " vm " << r.vm << ": pre-copy abort imported credit";
-        EXPECT_EQ(r.downtime, common::SimTime{})
-            << "seed " << seed << " vm " << r.vm << ": pre-copy abort charged downtime";
-        break;
-      case MigrationOutcome::kLostSourceCrash:
-        ++activity.lost_in_flight;
-        EXPECT_EQ(r.credit_imported, common::SimTime{})
-            << "seed " << seed << " vm " << r.vm << ": lost guest imported credit";
-        EXPECT_EQ(cluster.vm_state(r.vm), VmState::kLost)
-            << "seed " << seed << " vm " << r.vm << ": lost record but VM not kLost";
-        break;
-    }
-    EXPECT_GE(r.end, r.start) << "seed " << seed << " vm " << r.vm;
-  }
-}
 
 void run_seed_range(std::uint64_t first, std::uint64_t count) {
   const fault::FaultConfig chaos = chaos_config();
@@ -109,22 +65,16 @@ void run_seed_range(std::uint64_t first, std::uint64_t count) {
     const fault::FaultPlan plan =
         fault::draw_fault_plan(chaos, seed, spec.hosts, spec.horizon);
 
-    auto slow = build_cluster(spec, /*fast_path=*/false);
-    slow->install_faults(std::make_unique<fault::FaultInjector>(plan));
-    run_spec(*slow, spec);
+    std::vector<fuzz::Engine> engines = fuzz::parallel_engines();
+    engines.insert(engines.begin(), {true, 1});
+    const auto runs = expect_engines_identical(spec, seed, {false, 1}, engines, [&](Cluster& c) {
+      c.install_faults(std::make_unique<fault::FaultInjector>(plan));
+    });
+    if (runs.empty()) return;
+    const Cluster* slow = runs.front().get();
 
-    const std::size_t thread_variants[] = {1, 2, 4,
-                                           common::ThreadPool::hardware_threads()};
-    for (const std::size_t threads : thread_variants) {
-      auto fast = build_cluster(spec, /*fast_path=*/true, threads);
-      fast->install_faults(std::make_unique<fault::FaultInjector>(plan));
-      run_spec(*fast, spec);
-      expect_identical(*slow, *fast, seed,
-                       "slow vs fast(threads=" + std::to_string(threads) + ")");
-      if (::testing::Test::HasFatalFailure()) return;
-    }
-
-    check_conservation(*slow, seed, activity);
+    const fuzz::OutcomeCounts outcomes = fuzz::check_conservation(*slow, seed);
+    for (std::size_t k = 0; k < outcomes.size(); ++k) activity.outcomes[k] += outcomes[k];
     activity.crashes += slow->crashed_count();
     activity.recoveries += slow->recoveries().size();
     if (slow->faults() != nullptr)
@@ -137,12 +87,13 @@ void run_seed_range(std::uint64_t first, std::uint64_t count) {
   // a migration mid-flight and never recovers a VM is testing nothing.
   // Thresholds are per-shard floors well under the deterministic actuals.
   EXPECT_GT(activity.crashes, 0u) << "shard " << first << ": no host ever crashed";
-  EXPECT_GT(activity.aborts_precopy + activity.aborts_stopcopy + activity.lost_in_flight,
-            0u)
+  using enum MigrationOutcome;
+  const auto seen = [&](MigrationOutcome o) { return activity.outcomes[static_cast<int>(o)]; };
+  EXPECT_GT(seen(kAbortedPrecopy) + seen(kAbortedStopCopy) + seen(kLostSourceCrash), 0u)
       << "shard " << first << ": no migration was ever interrupted";
   EXPECT_GT(activity.degrades, 0u) << "shard " << first << ": no link ever degraded";
   EXPECT_GT(activity.recoveries, 0u) << "shard " << first << ": no VM ever recovered";
-  EXPECT_GT(activity.completed, 0u)
+  EXPECT_GT(seen(kCompleted), 0u)
       << "shard " << first << ": no migration ever completed under chaos";
 }
 

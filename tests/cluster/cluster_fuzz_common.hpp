@@ -1,8 +1,10 @@
 // Shared machinery for the cluster differential tests: seeded random
 // scenario generation (draw_scenario), cluster construction from a spec
 // (build_cluster — fast path and executor-thread count are the knobs the
-// tests sweep), scripted execution (run_spec) and the byte-for-byte
-// observable comparison (expect_identical).
+// tests sweep), scripted execution (run_spec), the byte-for-byte
+// observable comparison (expect_identical, over check::first_divergence)
+// and the one helper that runs a spec across engines and compares
+// (expect_engines_identical).
 //
 // Used by cluster_fuzz_test.cpp (fast path vs reference loop),
 // cluster_parallel_test.cpp (parallel engine vs serial engine, threads in
@@ -16,13 +18,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "check/divergence.hpp"
 #include "cluster/cluster.hpp"
 #include "cluster/cluster_manager.hpp"
 #include "common/random.hpp"
+#include "common/thread_pool.hpp"
 #include "platform/host_class.hpp"
 #include "sched/credit2_scheduler.hpp"
 #include "sched/credit_scheduler.hpp"
@@ -123,15 +129,16 @@ inline ScenarioSpec draw_scenario(std::uint64_t seed, bool hetero = false,
   s.trace_stride = std::vector<SimTime>{seconds(1), msec(1500), seconds(5)}[rng.next_below(3)];
   s.monitor_window = std::vector<SimTime>{seconds(1), msec(730), msec(500)}[rng.next_below(3)];
 
-  const std::size_t vm_count = 3 + rng.next_below(8);   // 3..10
-  for (std::size_t i = 0; i < vm_count; ++i) {
+  // One VM draw, homed anywhere on the fleet drawn so far; the historical
+  // VMs and the size extension's share it draw for draw.
+  const auto draw_vm = [&] {
     VmSpecF v;
     v.kind = static_cast<WlKind>(rng.next_below(5));
     v.credit = 2.0 + 3.0 * static_cast<double>(rng.next_below(10));  // 2..29
     v.memory_mb = 128.0 * static_cast<double>(1 + rng.next_below(8));
     v.dirty_mb_per_s = 10.0 + 20.0 * static_cast<double>(rng.next_below(10));
     v.home = static_cast<HostId>(rng.next_below(s.hosts));
-    v.seed = seed * 131 + i;
+    v.seed = seed * 131 + s.vms.size();
     v.poisson = rng.chance(0.5);
     const auto from_s = static_cast<std::int64_t>(rng.next_below(horizon_s / 2));
     const auto len_s = 10 + static_cast<std::int64_t>(rng.next_below(horizon_s / 2));
@@ -143,7 +150,9 @@ inline ScenarioSpec draw_scenario(std::uint64_t seed, bool hetero = false,
     v.pi_work = common::mf_seconds(rng.uniform(0.5, 4.0));
     v.pi_start = seconds(static_cast<std::int64_t>(rng.next_below(horizon_s / 2)));
     s.vms.push_back(v);
-  }
+  };
+  const std::size_t vm_count = 3 + rng.next_below(8);   // 3..10
+  for (std::size_t i = 0; i < vm_count; ++i) draw_vm();
 
   s.use_manager = rng.chance(0.7);
   if (s.use_manager) {
@@ -202,26 +211,7 @@ inline ScenarioSpec draw_scenario(std::uint64_t seed, bool hetero = false,
       for (std::size_t h = first_extra; h < s.hosts; ++h)
         s.classes.push_back(catalog[rng.next_below(catalog.size())]);
     }
-    for (std::size_t i = 0; i < size.vms; ++i) {
-      VmSpecF v;
-      v.kind = static_cast<WlKind>(rng.next_below(5));
-      v.credit = 2.0 + 3.0 * static_cast<double>(rng.next_below(10));
-      v.memory_mb = 128.0 * static_cast<double>(1 + rng.next_below(8));
-      v.dirty_mb_per_s = 10.0 + 20.0 * static_cast<double>(rng.next_below(10));
-      v.home = static_cast<HostId>(rng.next_below(s.hosts));  // full fleet
-      v.seed = seed * 131 + s.vms.size();
-      v.poisson = rng.chance(0.5);
-      const auto from_s = static_cast<std::int64_t>(rng.next_below(horizon_s / 2));
-      const auto len_s = 10 + static_cast<std::int64_t>(rng.next_below(horizon_s / 2));
-      v.from = seconds(from_s);
-      v.until = seconds(from_s + len_s);
-      v.rate = wl::WebApp::rate_for_demand(std::min(v.credit, 15.0),
-                                           common::mf_usec(10'000)) *
-               rng.uniform(0.5, 1.5);
-      v.pi_work = common::mf_seconds(rng.uniform(0.5, 4.0));
-      v.pi_start = seconds(static_cast<std::int64_t>(rng.next_below(horizon_s / 2)));
-      s.vms.push_back(v);
-    }
+    for (std::size_t i = 0; i < size.vms; ++i) draw_vm();  // homed on the full fleet
   }
   return s;
 }
@@ -300,99 +290,89 @@ inline void run_spec(Cluster& cluster, const ScenarioSpec& s) {
   cluster.run_until(s.horizon);
 }
 
-/// Asserts every observable of `b` matches `a` byte for byte: per-host
-/// traces (every row, every column), integer accounting, frequency
-/// transitions, migration records, residencies, SLA counters, power
-/// states, energy. `label` names the comparison in failure messages.
-inline void expect_identical(Cluster& a, Cluster& b, std::uint64_t seed,
+/// Asserts every observable of `b` matches `a` byte for byte — the
+/// check::first_divergence cluster order — naming the first divergence.
+/// `label` names the comparison in failure messages.
+inline void expect_identical(const Cluster& a, const Cluster& b, std::uint64_t seed,
                              const std::string& label = {}) {
-  const std::string ctx = "seed " + std::to_string(seed) + (label.empty() ? "" : " " + label);
-  for (HostId h = 0; h < a.host_count(); ++h) {
-    hv::Host& ha = a.host(h);
-    hv::Host& hb = b.host(h);
-    const auto sa = ha.trace().samples();
-    const auto sb = hb.trace().samples();
-    ASSERT_EQ(sa.size(), sb.size()) << ctx << " host " << h;
-    for (std::size_t i = 0; i < sa.size(); ++i) {
-      const auto ra = sa[i];
-      const auto rb = sb[i];
-      ASSERT_EQ(ra.t, rb.t) << ctx << " host " << h << " row " << i;
-      ASSERT_EQ(ra.freq_mhz, rb.freq_mhz) << ctx << " host " << h << " row " << i;
-      ASSERT_EQ(ra.global_load_pct, rb.global_load_pct)
-          << ctx << " host " << h << " row " << i;
-      ASSERT_EQ(ra.absolute_load_pct, rb.absolute_load_pct)
-          << ctx << " host " << h << " row " << i;
-      for (std::size_t v = 0; v < ha.vm_count(); ++v) {
-        ASSERT_EQ(ra.vm_global_pct[v], rb.vm_global_pct[v])
-            << ctx << " host " << h << " row " << i << " vm " << v;
-        ASSERT_EQ(ra.vm_absolute_pct[v], rb.vm_absolute_pct[v])
-            << ctx << " host " << h << " row " << i << " vm " << v;
-        ASSERT_EQ(ra.vm_credit_pct[v], rb.vm_credit_pct[v])
-            << ctx << " host " << h << " row " << i << " vm " << v;
-        ASSERT_EQ(ra.vm_saturated[v], rb.vm_saturated[v])
-            << ctx << " host " << h << " row " << i << " vm " << v;
-      }
-    }
-    ASSERT_EQ(ha.idle_time(), hb.idle_time()) << ctx << " host " << h;
-    ASSERT_EQ(ha.cpufreq().transition_count(), hb.cpufreq().transition_count())
-        << ctx << " host " << h;
-    for (common::VmId v = 0; v < ha.vm_count(); ++v) {
-      ASSERT_EQ(ha.vm(v).total_busy, hb.vm(v).total_busy)
-          << ctx << " host " << h << " vm " << v;
-      ASSERT_EQ(ha.vm(v).total_work, hb.vm(v).total_work)
-          << ctx << " host " << h << " vm " << v;
-      ASSERT_EQ(ha.vm(v).window_wanting, hb.vm(v).window_wanting)
-          << ctx << " host " << h << " vm " << v;
-    }
-    // Energy is an exact function of per-P-state integer time, so it too
-    // must agree to the bit.
-    ASSERT_EQ(ha.energy().joules(), hb.energy().joules()) << ctx << " host " << h;
-  }
+  ASSERT_EQ(check::first_divergence(a, b), "")
+      << "seed " << seed << (label.empty() ? "" : " " + label);
+}
 
-  // Cluster-level observables: migrations happened at the same instants
-  // with the same cost structure, residencies and SLA counters agree.
-  const auto& ma = a.migrations();
-  const auto& mb = b.migrations();
-  ASSERT_EQ(ma.size(), mb.size()) << ctx;
-  for (std::size_t i = 0; i < ma.size(); ++i) {
-    ASSERT_EQ(ma[i].vm, mb[i].vm) << ctx << " migration " << i;
-    ASSERT_EQ(ma[i].from, mb[i].from) << ctx << " migration " << i;
-    ASSERT_EQ(ma[i].to, mb[i].to) << ctx << " migration " << i;
-    ASSERT_EQ(ma[i].start, mb[i].start) << ctx << " migration " << i;
-    ASSERT_EQ(ma[i].stop, mb[i].stop) << ctx << " migration " << i;
-    ASSERT_EQ(ma[i].end, mb[i].end) << ctx << " migration " << i;
-    ASSERT_EQ(ma[i].rounds, mb[i].rounds) << ctx << " migration " << i;
-    ASSERT_EQ(ma[i].transferred_mb, mb[i].transferred_mb) << ctx << " migration " << i;
-    ASSERT_EQ(ma[i].downtime, mb[i].downtime) << ctx << " migration " << i;
-    ASSERT_EQ(ma[i].outcome, mb[i].outcome) << ctx << " migration " << i;
-    ASSERT_EQ(ma[i].credit_exported, mb[i].credit_exported) << ctx << " migration " << i;
-    ASSERT_EQ(ma[i].credit_imported, mb[i].credit_imported) << ctx << " migration " << i;
+/// Finished migration records by outcome, indexed by MigrationOutcome.
+using OutcomeCounts = std::array<std::size_t, 4>;
+
+/// Holds every finished migration record to the conservation contract of
+/// its outcome and counts the outcomes (for vacuity guards):
+///   kCompleted / kAbortedStopCopy — exported == imported (the balance
+///     landed on the destination, or rolled back onto the source);
+///   kAbortedPrecopy — nothing ever moved and nothing paused;
+///   kLostSourceCrash — nothing imported, and the VM is lost.
+inline OutcomeCounts check_conservation(const Cluster& cluster, std::uint64_t seed) {
+  OutcomeCounts counts{};
+  for (const MigrationRecord& r : cluster.engine().completed()) {
+    ++counts[static_cast<std::size_t>(r.outcome)];
+    const std::string ctx = "seed " + std::to_string(seed) + " vm " + std::to_string(r.vm);
+    switch (r.outcome) {
+      case MigrationOutcome::kCompleted:
+      case MigrationOutcome::kAbortedStopCopy:
+        EXPECT_EQ(r.credit_exported, r.credit_imported) << ctx << ": flight leaked credit";
+        break;
+      case MigrationOutcome::kAbortedPrecopy:
+        EXPECT_EQ(r.credit_exported, common::SimTime{}) << ctx << ": pre-copy abort exported";
+        EXPECT_EQ(r.credit_imported, common::SimTime{}) << ctx << ": pre-copy abort imported";
+        EXPECT_EQ(r.downtime, common::SimTime{}) << ctx << ": pre-copy abort charged downtime";
+        break;
+      case MigrationOutcome::kLostSourceCrash:
+        EXPECT_EQ(r.credit_imported, common::SimTime{}) << ctx << ": lost guest imported credit";
+        EXPECT_EQ(cluster.vm_state(r.vm), VmState::kLost) << ctx << ": lost record, VM not lost";
+        break;
+    }
+    EXPECT_GE(r.end, r.start) << ctx;
   }
-  // Fault-path observables: crash states, VM lifecycle and recovery events
-  // must replay identically too (all zero/empty in fault-free scenarios).
-  const auto& ra = a.recoveries();
-  const auto& rb = b.recoveries();
-  ASSERT_EQ(ra.size(), rb.size()) << ctx;
-  for (std::size_t i = 0; i < ra.size(); ++i) {
-    ASSERT_EQ(ra[i].vm, rb[i].vm) << ctx << " recovery " << i;
-    ASSERT_EQ(ra[i].crashed_at, rb[i].crashed_at) << ctx << " recovery " << i;
-    ASSERT_EQ(ra[i].restarted_at, rb[i].restarted_at) << ctx << " recovery " << i;
+  return counts;
+}
+
+/// One engine to run a spec on.
+struct Engine {
+  bool fast_path = true;
+  std::size_t threads = 1;
+};
+
+/// The parallel sweep: `fast_path` at {2, 4, hardware} executors, with
+/// duplicates and the serial case dropped (on a 2-core box hardware == 2;
+/// threads == 1 is the serial reference itself).
+inline std::vector<Engine> parallel_engines(bool fast_path = true) {
+  std::vector<std::size_t> counts{2, 4, common::ThreadPool::hardware_threads()};
+  std::sort(counts.begin(), counts.end());
+  counts.erase(std::unique(counts.begin(), counts.end()), counts.end());
+  std::vector<Engine> engines;
+  for (const std::size_t n : counts)
+    if (n > 1) engines.push_back({fast_path, n});
+  return engines;
+}
+
+/// The differential suites' one runner: runs `spec` on `ref`, then on
+/// every variant — each cluster from build_cluster, given `setup` (faults,
+/// a control plane) and driven by run_spec — asserting every variant
+/// identical to the reference. Returns all runs, reference first, for the
+/// caller's own checks; empty once an assertion failed.
+inline std::vector<std::unique_ptr<Cluster>> expect_engines_identical(
+    const ScenarioSpec& spec, std::uint64_t seed, Engine ref, const std::vector<Engine>& variants,
+    const std::function<void(Cluster&)>& setup = {}) {
+  std::vector<std::unique_ptr<Cluster>> runs;
+  for (std::size_t i = 0; i <= variants.size(); ++i) {
+    const Engine e = i == 0 ? ref : variants[i - 1];
+    runs.push_back(build_cluster(spec, e.fast_path, e.threads));
+    if (setup) setup(*runs.back());
+    run_spec(*runs.back(), spec);
+    if (i == 0) continue;
+    expect_identical(*runs.front(), *runs.back(), seed,
+                     std::string{e.fast_path ? "fast" : "slow"} + " path @" +
+                         std::to_string(e.threads) + " thread(s) vs the reference");
+    if (::testing::Test::HasFatalFailure()) return {};
   }
-  for (GlobalVmId gid = 0; gid < a.vm_count(); ++gid) {
-    ASSERT_EQ(a.vm_state(gid), b.vm_state(gid)) << ctx << " vm " << gid;
-    ASSERT_EQ(a.residence(gid), b.residence(gid)) << ctx << " vm " << gid;
-    ASSERT_EQ(a.sla().violation_time(gid), b.sla().violation_time(gid))
-        << ctx << " vm " << gid;
-    ASSERT_EQ(a.sla().observed_time(gid), b.sla().observed_time(gid))
-        << ctx << " vm " << gid;
-    ASSERT_EQ(a.vm_stats(gid).downtime, b.vm_stats(gid).downtime)
-        << ctx << " vm " << gid;
-  }
-  for (HostId h = 0; h < a.host_count(); ++h) {
-    ASSERT_EQ(a.powered_on(h), b.powered_on(h)) << ctx << " host " << h;
-    ASSERT_EQ(a.crashed(h), b.crashed(h)) << ctx << " host " << h;
-  }
-  ASSERT_EQ(a.energy_joules(), b.energy_joules()) << ctx;
+  return runs;
 }
 
 }  // namespace pas::cluster::fuzz

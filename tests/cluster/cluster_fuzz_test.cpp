@@ -20,23 +20,15 @@
 namespace pas::cluster {
 namespace {
 
-using fuzz::build_cluster;
 using fuzz::draw_scenario;
-using fuzz::expect_identical;
-using fuzz::run_spec;
-using fuzz::ScenarioSpec;
+using fuzz::expect_engines_identical;
 
 void run_seed_range(std::uint64_t first, std::uint64_t count) {
   std::size_t total_migrations = 0;
   for (std::uint64_t seed = first; seed < first + count; ++seed) {
-    const ScenarioSpec spec = draw_scenario(seed);
-    auto slow = build_cluster(spec, /*fast_path=*/false);
-    auto fast = build_cluster(spec, /*fast_path=*/true);
-    run_spec(*slow, spec);
-    run_spec(*fast, spec);
-    expect_identical(*slow, *fast, seed, "slow vs fast");
-    if (::testing::Test::HasFatalFailure()) return;
-    total_migrations += slow->migrations().size();
+    const auto runs = expect_engines_identical(draw_scenario(seed), seed, {false, 1}, {{true, 1}});
+    if (runs.empty()) return;
+    total_migrations += runs.front()->migrations().size();
   }
   // Guard against a vacuous shard: the random scenarios must actually
   // exercise the machinery under test.

@@ -13,13 +13,11 @@
 // class's cf < 1 states included.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "cluster_fuzz_common.hpp"
-#include "common/thread_pool.hpp"
 #include "consolidation/consolidation.hpp"
 #include "platform/host_class.hpp"
 #include "workload/synthetic.hpp"
@@ -29,20 +27,11 @@ namespace {
 
 using fuzz::build_cluster;
 using fuzz::draw_scenario;
-using fuzz::expect_identical;
-using fuzz::run_spec;
+using fuzz::expect_engines_identical;
+using fuzz::parallel_engines;
 using fuzz::ScenarioSpec;
 
-std::vector<std::size_t> sweep_thread_counts() {
-  std::vector<std::size_t> counts{2, 4, common::ThreadPool::hardware_threads()};
-  std::sort(counts.begin(), counts.end());
-  counts.erase(std::unique(counts.begin(), counts.end()), counts.end());
-  counts.erase(std::remove(counts.begin(), counts.end(), std::size_t{1}), counts.end());
-  return counts;
-}
-
 void run_seed_range(std::uint64_t first, std::uint64_t count) {
-  const std::vector<std::size_t> thread_counts = sweep_thread_counts();
   std::size_t total_migrations = 0;
   std::size_t mixed_scenarios = 0;
   for (std::uint64_t seed = first; seed < first + count; ++seed) {
@@ -52,16 +41,9 @@ void run_seed_range(std::uint64_t first, std::uint64_t count) {
     for (const auto& c : spec.classes) class_names.insert(c.name);
     if (class_names.size() > 1) ++mixed_scenarios;
 
-    auto serial = build_cluster(spec, /*fast_path=*/true, /*threads=*/1);
-    run_spec(*serial, spec);
-    for (const std::size_t threads : thread_counts) {
-      auto parallel = build_cluster(spec, /*fast_path=*/true, threads);
-      run_spec(*parallel, spec);
-      expect_identical(*serial, *parallel, seed,
-                       "hetero serial vs " + std::to_string(threads) + " threads");
-      if (::testing::Test::HasFatalFailure()) return;
-    }
-    total_migrations += serial->migrations().size();
+    const auto runs = expect_engines_identical(spec, seed, {true, 1}, parallel_engines());
+    if (runs.empty()) return;
+    total_migrations += runs.front()->migrations().size();
   }
   // Vacuity guards: the sweep must exercise genuinely mixed fleets with
   // real migrations, not uniform or idle ones.
@@ -78,12 +60,7 @@ TEST(ClusterHeteroTest, ParallelIdenticalSeeds25to49) { run_seed_range(25, 25); 
 TEST(ClusterHeteroTest, FastPathIdenticalSeeds0to14) {
   for (std::uint64_t seed = 0; seed < 15; ++seed) {
     const ScenarioSpec spec = draw_scenario(seed, /*hetero=*/true);
-    auto slow = build_cluster(spec, /*fast_path=*/false, /*threads=*/1);
-    auto fast = build_cluster(spec, /*fast_path=*/true, /*threads=*/1);
-    run_spec(*slow, spec);
-    run_spec(*fast, spec);
-    expect_identical(*slow, *fast, seed, "hetero slow vs fast");
-    if (::testing::Test::HasFatalFailure()) return;
+    if (expect_engines_identical(spec, seed, {false, 1}, {{true, 1}}).empty()) return;
   }
 }
 

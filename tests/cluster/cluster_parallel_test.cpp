@@ -12,53 +12,32 @@
 // thread-count) combination produces the one canonical result.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <vector>
 
 #include "cluster_fuzz_common.hpp"
-#include "common/thread_pool.hpp"
 
 namespace pas::cluster {
 namespace {
 
-using fuzz::build_cluster;
 using fuzz::draw_scenario;
-using fuzz::expect_identical;
-using fuzz::run_spec;
-using fuzz::ScenarioSpec;
-
-/// {2, 4, hardware} with duplicates and the serial case removed (on a
-/// 2-core box hardware == 2; threads == 1 IS the reference run).
-std::vector<std::size_t> sweep_thread_counts() {
-  std::vector<std::size_t> counts{2, 4, common::ThreadPool::hardware_threads()};
-  std::sort(counts.begin(), counts.end());
-  counts.erase(std::unique(counts.begin(), counts.end()), counts.end());
-  counts.erase(std::remove(counts.begin(), counts.end(), std::size_t{1}), counts.end());
-  return counts;
-}
+using fuzz::expect_engines_identical;
+using fuzz::parallel_engines;
 
 void run_seed_range(std::uint64_t first, std::uint64_t count) {
-  const std::vector<std::size_t> thread_counts = sweep_thread_counts();
   std::size_t total_migrations = 0;
   std::uint64_t total_collapsed = 0;
   for (std::uint64_t seed = first; seed < first + count; ++seed) {
-    const ScenarioSpec spec = draw_scenario(seed);
-    auto serial = build_cluster(spec, /*fast_path=*/true, /*threads=*/1);
-    run_spec(*serial, spec);
-    for (const std::size_t threads : thread_counts) {
-      auto parallel = build_cluster(spec, /*fast_path=*/true, threads);
-      run_spec(*parallel, spec);
-      expect_identical(*serial, *parallel, seed,
-                       "serial vs " + std::to_string(threads) + " threads");
-      if (::testing::Test::HasFatalFailure()) return;
-      // The over-cap refill collapse is host-local work, so how much of it
-      // happens cannot depend on which thread stepped the host.
-      EXPECT_EQ(serial->engine_stats().refills_collapsed,
+    const auto runs =
+        expect_engines_identical(draw_scenario(seed), seed, {true, 1}, parallel_engines());
+    if (runs.empty()) return;
+    // The over-cap refill collapse is host-local work, so how much of it
+    // happens cannot depend on which thread stepped the host.
+    for (const auto& parallel : runs)
+      EXPECT_EQ(runs.front()->engine_stats().refills_collapsed,
                 parallel->engine_stats().refills_collapsed)
-          << "seed " << seed << ", " << threads << " threads";
-    }
-    total_migrations += serial->migrations().size();
-    total_collapsed += serial->engine_stats().refills_collapsed;
+          << "seed " << seed << ", " << parallel->execution_threads() << " threads";
+    total_migrations += runs.front()->migrations().size();
+    total_collapsed += runs.front()->engine_stats().refills_collapsed;
   }
   // Same vacuity guard as the fuzz test: the sweep must see real
   // migrations, manager ticks and SLA traffic, not idle fleets.
@@ -77,16 +56,11 @@ TEST(ClusterParallelTest, ParallelIdenticalSeeds75to99) { run_seed_range(75, 25)
 // side, and the fast-path equivalence is already pinned above.
 TEST(ClusterParallelTest, SlowLoopParallelIdenticalSeeds0to9) {
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
-    const ScenarioSpec spec = draw_scenario(seed);
-    auto serial = build_cluster(spec, /*fast_path=*/false, /*threads=*/1);
-    auto parallel = build_cluster(spec, /*fast_path=*/false, /*threads=*/4);
-    run_spec(*serial, spec);
-    run_spec(*parallel, spec);
-    expect_identical(*serial, *parallel, seed, "slow serial vs slow 4-thread");
-    if (::testing::Test::HasFatalFailure()) return;
+    const auto runs = expect_engines_identical(draw_scenario(seed), seed, {false, 1}, {{false, 4}});
+    if (runs.empty()) return;
     // The reference loop steps every refill; it never collapses one.
-    EXPECT_EQ(serial->engine_stats().refills_collapsed, 0u) << "seed " << seed;
-    EXPECT_EQ(parallel->engine_stats().refills_collapsed, 0u) << "seed " << seed;
+    for (const auto& run : runs)
+      EXPECT_EQ(run->engine_stats().refills_collapsed, 0u) << "seed " << seed;
   }
 }
 

@@ -18,10 +18,8 @@ namespace pas::cluster {
 namespace {
 
 using common::seconds;
-using fuzz::build_cluster;
 using fuzz::draw_scenario;
-using fuzz::expect_identical;
-using fuzz::run_spec;
+using fuzz::expect_engines_identical;
 using fuzz::ScenarioSize;
 using fuzz::ScenarioSpec;
 
@@ -89,12 +87,10 @@ TEST(ClusterScaleTest, SizeKnobPreservesHistoricalPrefix) {
 }
 
 TEST(ClusterScaleTest, FastPathMatchesReferenceAt512Hosts) {
-  const ScenarioSpec s = scale_spec(3);
-  auto fast = build_cluster(s, /*fast_path=*/true);
-  auto reference = build_cluster(s, /*fast_path=*/false);
-  run_spec(*fast, s);
-  run_spec(*reference, s);
-  expect_identical(*fast, *reference, 3, "fast vs reference @512 hosts");
+  const auto runs = expect_engines_identical(scale_spec(3), 3, {true, 1}, {{false, 1}});
+  ASSERT_EQ(runs.size(), 2u);
+  const Cluster* fast = runs[0].get();
+  const Cluster* reference = runs[1].get();
 
   // Vacuity guard: the manager must have actually consolidated the fleet.
   ASSERT_NE(fast->manager(), nullptr);
@@ -111,16 +107,7 @@ TEST(ClusterScaleTest, FastPathMatchesReferenceAt512Hosts) {
 }
 
 TEST(ClusterScaleTest, ParallelDriversMatchSerialAt512Hosts) {
-  const ScenarioSpec s = scale_spec(3);
-  auto serial = build_cluster(s, /*fast_path=*/true, /*threads=*/1);
-  run_spec(*serial, s);
-  for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
-    auto parallel = build_cluster(s, /*fast_path=*/true, threads);
-    run_spec(*parallel, s);
-    expect_identical(*serial, *parallel, 3,
-                     "serial vs " + std::to_string(threads) + " threads @512 hosts");
-    if (::testing::Test::HasFatalFailure()) return;
-  }
+  (void)expect_engines_identical(scale_spec(3), 3, {true, 1}, {{true, 2}, {true, 4}});
 }
 
 }  // namespace

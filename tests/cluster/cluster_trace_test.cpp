@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "cluster_fuzz_common.hpp"
-#include "common/thread_pool.hpp"
 #include "metrics/trace_export.hpp"
 #include "scenario/hosting_cluster.hpp"
 #include "sched/credit_scheduler.hpp"
@@ -29,10 +28,10 @@
 namespace pas::cluster {
 namespace {
 
-using fuzz::build_cluster;
 using fuzz::draw_scenario;
+using fuzz::expect_engines_identical;
 using fuzz::expect_identical;
-using fuzz::run_spec;
+using fuzz::parallel_engines;
 using fuzz::ScenarioSpec;
 using fuzz::WlKind;
 
@@ -78,40 +77,21 @@ TEST(ClusterTraceTest, FastPathIdenticalSeeds0to14) {
   for (std::uint64_t seed = 0; seed < 15; ++seed) {
     const ScenarioSpec spec = draw_scenario(seed, /*hetero=*/false, /*trace_mix=*/true);
     replaying += trace_vm_count(spec);
-    auto slow = build_cluster(spec, /*fast_path=*/false, /*threads=*/1);
-    auto fast = build_cluster(spec, /*fast_path=*/true, /*threads=*/1);
-    run_spec(*slow, spec);
-    run_spec(*fast, spec);
-    expect_identical(*slow, *fast, seed, "trace-mix slow vs fast");
-    if (::testing::Test::HasFatalFailure()) return;
+    if (expect_engines_identical(spec, seed, {false, 1}, {{true, 1}}).empty()) return;
   }
   EXPECT_GT(replaying, 15u);  // vacuity: the sweep replayed real traces
 }
 
 // Contract 3 with replaying tenants, over mixed-class fleets too.
 void run_parallel_seed_range(std::uint64_t first, std::uint64_t count, bool hetero) {
-  std::vector<std::size_t> threads{2, 4, common::ThreadPool::hardware_threads()};
-  std::sort(threads.begin(), threads.end());
-  threads.erase(std::unique(threads.begin(), threads.end()), threads.end());
-  threads.erase(std::remove(threads.begin(), threads.end(), std::size_t{1}),
-                threads.end());
-
   std::size_t replaying = 0;
   std::size_t migrations = 0;
   for (std::uint64_t seed = first; seed < first + count; ++seed) {
     const ScenarioSpec spec = draw_scenario(seed, hetero, /*trace_mix=*/true);
     replaying += trace_vm_count(spec);
-    auto serial = build_cluster(spec, /*fast_path=*/true, /*threads=*/1);
-    run_spec(*serial, spec);
-    migrations += serial->migrations().size();
-    for (const std::size_t t : threads) {
-      auto parallel = build_cluster(spec, /*fast_path=*/true, t);
-      run_spec(*parallel, spec);
-      expect_identical(*serial, *parallel, seed,
-                       std::string{hetero ? "hetero " : ""} + "trace-mix serial vs " +
-                           std::to_string(t) + " threads");
-      if (::testing::Test::HasFatalFailure()) return;
-    }
+    const auto runs = expect_engines_identical(spec, seed, {true, 1}, parallel_engines());
+    if (runs.empty()) return;
+    migrations += runs.front()->migrations().size();
   }
   EXPECT_GT(replaying, count) << "too few trace VMs across seeds";
   EXPECT_GT(migrations, count / 2) << "too few migrations across seeds";

@@ -99,5 +99,34 @@ TEST(FlagsTest, AcceptsWellFormedNumbers) {
   EXPECT_EQ(f.get_int("absent", 9), 9);
 }
 
+// Count and seed flags: a negative value is rejected with the flag spelled
+// back, instead of wrapping to ~2^64 through a size_t cast.
+
+TEST(FlagsTest, CountAcceptsNonNegative) {
+  const Flags f = make({"--threads=4", "--seed=0", "--hosts=+8"});
+  EXPECT_EQ(f.get_count("threads", 1), 4u);
+  EXPECT_EQ(f.get_count("seed", 17), 0u);
+  EXPECT_EQ(f.get_count("hosts", 1), 8u);
+  EXPECT_EQ(f.get_count("absent", 64), 64u);
+}
+
+TEST(FlagsTest, CountRejectsNegative) {
+  const Flags f = make({"--threads=-1"});
+  try {
+    (void)f.get_count("threads", 1);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string{e.what()}.find("--threads=-1"), std::string::npos) << e.what();
+    EXPECT_NE(std::string{e.what()}.find("non-negative"), std::string::npos) << e.what();
+  }
+}
+
+TEST(FlagsTest, CountStaysStrict) {
+  const Flags f = make({"--threads=4x", "--hosts=", "--vms=99999999999999999999"});
+  EXPECT_THROW((void)f.get_count("threads", 1), std::runtime_error);
+  EXPECT_THROW((void)f.get_count("hosts", 8), std::runtime_error);
+  EXPECT_THROW((void)f.get_count("vms", 64), std::runtime_error);
+}
+
 }  // namespace
 }  // namespace pas::common

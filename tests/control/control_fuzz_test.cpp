@@ -184,26 +184,6 @@ void compile_by_hand(Cluster& cluster, const ctl::Task& task, common::SimTime no
   }
 }
 
-void check_conservation(const Cluster& cluster, std::uint64_t seed) {
-  for (const MigrationRecord& r : cluster.engine().completed()) {
-    switch (r.outcome) {
-      case MigrationOutcome::kCompleted:
-      case MigrationOutcome::kAbortedStopCopy:
-        EXPECT_EQ(r.credit_exported, r.credit_imported)
-            << "seed " << seed << " vm " << r.vm << ": flight leaked credit";
-        break;
-      case MigrationOutcome::kAbortedPrecopy:
-        EXPECT_EQ(r.credit_exported, common::SimTime{}) << "seed " << seed << " vm " << r.vm;
-        EXPECT_EQ(r.credit_imported, common::SimTime{}) << "seed " << seed << " vm " << r.vm;
-        break;
-      case MigrationOutcome::kLostSourceCrash:
-        EXPECT_EQ(r.credit_imported, common::SimTime{}) << "seed " << seed << " vm " << r.vm;
-        break;
-    }
-    EXPECT_GE(r.end, r.start) << "seed " << seed << " vm " << r.vm;
-  }
-}
-
 /// The fields of draw_scenario's output a perturbed generator would move
 /// first — enough to catch any cross-stream RNG bleed.
 void expect_same_scenario(const ScenarioSpec& a, const ScenarioSpec& b,
@@ -271,7 +251,7 @@ void run_seed_range(std::uint64_t first, std::uint64_t count) {
 
     expect_identical(*a, *b, seed, "control plane vs hand-compiled events");
     if (::testing::Test::HasFatalFailure()) return;
-    check_conservation(*a, seed);
+    (void)fuzz::check_conservation(*a, seed);
 
     // The crash-race probes: scheduled at the exact instant of a planned
     // crash, so they observe the post-crash world — deterministically

@@ -24,7 +24,6 @@
 
 #include "../cluster/cluster_fuzz_common.hpp"
 #include "common/random.hpp"
-#include "common/thread_pool.hpp"
 #include "control/control_plane.hpp"
 #include "control/task.hpp"
 
@@ -33,7 +32,7 @@ namespace {
 
 using fuzz::build_cluster;
 using fuzz::draw_scenario;
-using fuzz::expect_identical;
+using fuzz::expect_engines_identical;
 using fuzz::run_spec;
 using fuzz::ScenarioSpec;
 
@@ -94,15 +93,6 @@ std::vector<ctl::Task> draw_commands(const ScenarioSpec& spec, std::uint64_t see
   return tasks;
 }
 
-std::unique_ptr<Cluster> run_with_commands(const ScenarioSpec& spec,
-                                           std::vector<ctl::Task> tasks, bool fast_path,
-                                           std::size_t threads = 1) {
-  auto cluster = build_cluster(spec, fast_path, threads);
-  cluster->install_control(std::make_unique<ctl::ControlPlane>(std::move(tasks)));
-  run_spec(*cluster, spec);
-  return cluster;
-}
-
 /// What a shard exercised — a corpus whose commands were all rejected (or
 /// all trivially accepted) would be testing much less than it claims.
 struct ControlActivity {
@@ -118,22 +108,17 @@ void run_seed_range(std::uint64_t first, std::uint64_t count) {
     const ScenarioSpec spec = draw_scenario(seed);
     const std::vector<ctl::Task> commands = draw_commands(spec, seed);
 
-    auto slow = run_with_commands(spec, commands, /*fast_path=*/false);
-    const std::string log = slow->control()->result_log();
+    // Cluster state AND the published result log, byte for byte, on the
+    // fast path at every executor count.
+    std::vector<fuzz::Engine> engines = fuzz::parallel_engines();
+    engines.insert(engines.begin(), {true, 1});
+    const auto runs = expect_engines_identical(spec, seed, {false, 1}, engines, [&](Cluster& c) {
+      c.install_control(std::make_unique<ctl::ControlPlane>(commands));
+    });
+    if (runs.empty()) return;
+    const auto& slow = runs.front();
     ASSERT_EQ(slow->control()->results().size(), commands.size())
         << "seed " << seed << ": a command fell off the queue";
-
-    const std::size_t thread_variants[] = {1, 2, 4,
-                                           common::ThreadPool::hardware_threads()};
-    for (const std::size_t threads : thread_variants) {
-      auto fast = run_with_commands(spec, commands, /*fast_path=*/true, threads);
-      const std::string label = "slow vs fast(threads=" + std::to_string(threads) + ")";
-      expect_identical(*slow, *fast, seed, label);
-      if (::testing::Test::HasFatalFailure()) return;
-      // The cluster agreeing is necessary; the published artifact agreeing
-      // is the contract: result logs byte-identical across engines.
-      EXPECT_EQ(fast->control()->result_log(), log) << "seed " << seed << " " << label;
-    }
 
     // --- record → re-inject → re-record ---------------------------------
     // The recorded outcomes, re-expressed as no-op annotations, re-injected
@@ -143,7 +128,9 @@ void run_seed_range(std::uint64_t first, std::uint64_t count) {
     std::vector<ctl::Task> replay = ctl::parse_tasks(
         annotations, "<annotations>", {spec.hosts, spec.vms.size()});
 
-    auto annotated = run_with_commands(spec, std::move(replay), /*fast_path=*/true);
+    auto annotated = build_cluster(spec, /*fast_path=*/true);
+    annotated->install_control(std::make_unique<ctl::ControlPlane>(std::move(replay)));
+    run_spec(*annotated, spec);
     ASSERT_EQ(annotated->control()->results().size(), slow->control()->results().size())
         << "seed " << seed << ": an annotation fell off the queue";
     for (const ctl::TaskResult& r : annotated->control()->results()) {
@@ -167,9 +154,9 @@ void run_seed_range(std::uint64_t first, std::uint64_t count) {
       << "shard " << first << ": no command was ever refused";
 }
 
-// A 24-seed slice of the shared corpus (each seed runs seven full
-// scenarios: slow, four fast variants, plain and annotated), sharded for
-// ctest parallelism and narrow failure ranges.
+// A 24-seed slice of the shared corpus (each seed runs the slow reference,
+// the fast path at every executor count, and the annotated re-run),
+// sharded for ctest parallelism and narrow failure ranges.
 TEST(ControlReplayTest, ReplayIdenticalSeeds0to7) { run_seed_range(0, 8); }
 TEST(ControlReplayTest, ReplayIdenticalSeeds8to15) { run_seed_range(8, 8); }
 TEST(ControlReplayTest, ReplayIdenticalSeeds16to23) { run_seed_range(16, 8); }

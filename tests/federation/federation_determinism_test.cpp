@@ -8,9 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <string>
 
-#include "../cluster/cluster_fuzz_common.hpp"
+#include "check/divergence.hpp"
 #include "cluster/cluster.hpp"
 #include "common/units.hpp"
 #include "federation/federation.hpp"
@@ -39,45 +38,6 @@ scenario::FederationScenarioConfig fed_config(std::size_t shards, bool fast_path
   return cfg;
 }
 
-/// Byte-compare two federations: every shard pair via the cluster suite's
-/// expect_identical, plus the cross-shard ledger (records, registry,
-/// counters) field by field.
-void expect_fed_identical(Federation& a, Federation& b, const std::string& label) {
-  ASSERT_EQ(a.shard_count(), b.shard_count()) << label;
-  for (ShardId s = 0; s < a.shard_count(); ++s)
-    cluster::fuzz::expect_identical(a.shard(s), b.shard(s), 17,
-                                    label + " shard " + std::to_string(s));
-  ASSERT_EQ(a.planner_ticks(), b.planner_ticks()) << label;
-  ASSERT_EQ(a.moves_issued(), b.moves_issued()) << label;
-  ASSERT_EQ(a.cross_shard_in_flight(), b.cross_shard_in_flight()) << label;
-  const auto& ra = a.cross_shard_records();
-  const auto& rb = b.cross_shard_records();
-  ASSERT_EQ(ra.size(), rb.size()) << label;
-  for (std::size_t i = 0; i < ra.size(); ++i) {
-    const std::string ctx = label + " fed migration " + std::to_string(i);
-    ASSERT_EQ(ra[i].vm, rb[i].vm) << ctx;
-    ASSERT_EQ(ra[i].from_shard, rb[i].from_shard) << ctx;
-    ASSERT_EQ(ra[i].to_shard, rb[i].to_shard) << ctx;
-    ASSERT_EQ(ra[i].from_host, rb[i].from_host) << ctx;
-    ASSERT_EQ(ra[i].to_host, rb[i].to_host) << ctx;
-    ASSERT_EQ(ra[i].src_vm, rb[i].src_vm) << ctx;
-    ASSERT_EQ(ra[i].dst_vm, rb[i].dst_vm) << ctx;
-    ASSERT_EQ(ra[i].link, rb[i].link) << ctx;
-    ASSERT_EQ(ra[i].record.start, rb[i].record.start) << ctx;
-    ASSERT_EQ(ra[i].record.stop, rb[i].record.stop) << ctx;
-    ASSERT_EQ(ra[i].record.end, rb[i].record.end) << ctx;
-    ASSERT_EQ(ra[i].record.rounds, rb[i].record.rounds) << ctx;
-    ASSERT_EQ(ra[i].record.transferred_mb, rb[i].record.transferred_mb) << ctx;
-    ASSERT_EQ(ra[i].record.downtime, rb[i].record.downtime) << ctx;
-    ASSERT_EQ(ra[i].record.outcome, rb[i].record.outcome) << ctx;
-  }
-  ASSERT_EQ(a.vm_count(), b.vm_count()) << label;
-  for (FedVmId v = 0; v < a.vm_count(); ++v) {
-    ASSERT_EQ(a.locate(v).shard, b.locate(v).shard) << label << " vm " << v;
-    ASSERT_EQ(a.locate(v).vm, b.locate(v).vm) << label << " vm " << v;
-  }
-}
-
 TEST(FederationDeterminismTest, SingleShardDegradesToBareCluster) {
   // K = 1: the federation schedules nothing, so the run IS the bare
   // cluster's run — byte for byte, energy bits included.
@@ -88,7 +48,7 @@ TEST(FederationDeterminismTest, SingleShardDegradesToBareCluster) {
   fed->run_until(cfg.base.horizon);
   EXPECT_EQ(fed->planner_ticks(), 0u);
   EXPECT_TRUE(fed->cross_shard_records().empty());
-  cluster::fuzz::expect_identical(*bare, fed->shard(0), cfg.base.seed, "K=1 vs bare");
+  EXPECT_EQ(check::first_divergence(*bare, fed->shard(0)), "") << "K=1 vs bare";
 }
 
 TEST(FederationDeterminismTest, ByteIdenticalAcrossPathsAndThreads) {
@@ -106,8 +66,8 @@ TEST(FederationDeterminismTest, ByteIdenticalAcrossPathsAndThreads) {
       std::unique_ptr<Federation> run =
           scenario::build_federation(fed_config(shards, v.fast_path, v.threads));
       run->run_until(seconds(600));
-      expect_fed_identical(*ref, *run,
-                           "K=" + std::to_string(shards) + " " + v.name);
+      ASSERT_EQ(check::first_divergence(*ref, *run), "")
+          << "K=" << shards << " " << v.name;
     }
   }
 }

@@ -4,9 +4,12 @@
 // all-over-cap idling) must behave identically in both modes.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <initializer_list>
 #include <memory>
 #include <string>
 
+#include "check/divergence.hpp"
 #include "core/pas_controller.hpp"
 #include "governor/governors.hpp"
 #include "hypervisor/host.hpp"
@@ -101,48 +104,30 @@ std::unique_ptr<Host> build_mixed_host(bool fast_path, Sched kind, bool controll
   return host;
 }
 
-/// Byte-level equality of two hosts: every trace row and sampled quantity,
-/// integer time accounting, the saturation flags and energy down to the
-/// exact double (the meter integrates per-P-state integer time, so
-/// chunking cannot move it).
-void expect_hosts_identical(Host& slow, Host& fast, const std::string& where) {
-  ASSERT_EQ(slow.now(), fast.now()) << where;
-  const auto sa = slow.trace().samples();
-  const auto sb = fast.trace().samples();
-  ASSERT_EQ(sa.size(), sb.size()) << where;
-  for (std::size_t i = 0; i < sa.size(); ++i) {
-    const auto ra = sa[i];
-    const auto rb = sb[i];
-    EXPECT_EQ(ra.t, rb.t) << where << " row " << i;
-    EXPECT_EQ(ra.freq_mhz, rb.freq_mhz) << where << " row " << i;
-    EXPECT_EQ(ra.global_load_pct, rb.global_load_pct) << where << " row " << i;
-    EXPECT_EQ(ra.absolute_load_pct, rb.absolute_load_pct) << where << " row " << i;
-    for (std::size_t v = 0; v < slow.vm_count(); ++v) {
-      EXPECT_EQ(ra.vm_global_pct[v], rb.vm_global_pct[v]) << where << " row " << i << " vm " << v;
-      EXPECT_EQ(ra.vm_absolute_pct[v], rb.vm_absolute_pct[v])
-          << where << " row " << i << " vm " << v;
-      EXPECT_EQ(ra.vm_credit_pct[v], rb.vm_credit_pct[v]) << where << " row " << i << " vm " << v;
-      EXPECT_EQ(ra.vm_saturated[v], rb.vm_saturated[v]) << where << " row " << i << " vm " << v;
-    }
+struct ModeRuns {
+  std::unique_ptr<Host> slow;
+  std::unique_ptr<Host> fast;
+};
+
+/// Builds a reference (slow-stepped) and a fast-path host with `build`,
+/// runs both through each stop in turn and compares them byte for byte at
+/// every one (check::first_divergence: every trace row, integer time
+/// accounting, the saturation flags and energy down to the exact double).
+ModeRuns expect_modes_identical(const std::function<std::unique_ptr<Host>(bool)>& build,
+                                std::initializer_list<SimTime> stops) {
+  ModeRuns runs{build(/*fast_path=*/false), build(/*fast_path=*/true)};
+  for (const SimTime t : stops) {
+    runs.slow->run_until(t);
+    runs.fast->run_until(t);
+    EXPECT_EQ(check::first_divergence(*runs.slow, *runs.fast), "") << "at " << t.us() << " us";
   }
-  EXPECT_EQ(slow.idle_time(), fast.idle_time()) << where;
-  EXPECT_EQ(slow.cpufreq().transition_count(), fast.cpufreq().transition_count()) << where;
-  for (common::VmId v = 0; v < slow.vm_count(); ++v) {
-    EXPECT_EQ(slow.vm(v).total_busy, fast.vm(v).total_busy) << where << " vm " << v;
-    EXPECT_EQ(slow.vm(v).total_work, fast.vm(v).total_work) << where << " vm " << v;
-    EXPECT_EQ(slow.vm(v).window_wanting, fast.vm(v).window_wanting) << where << " vm " << v;
-    EXPECT_EQ(slow.vm_saturated_last_window(v), fast.vm_saturated_last_window(v))
-        << where << " vm " << v;
-  }
-  EXPECT_EQ(slow.energy().joules(), fast.energy().joules()) << where;
+  return runs;
 }
 
 void expect_identical_runs(Sched kind, bool controller) {
-  auto slow = build_mixed_host(/*fast_path=*/false, kind, controller);
-  auto fast = build_mixed_host(/*fast_path=*/true, kind, controller);
-  slow->run_until(seconds(120));
-  fast->run_until(seconds(120));
-  expect_hosts_identical(*slow, *fast, "120 s");
+  (void)expect_modes_identical(
+      [&](bool fast_path) { return build_mixed_host(fast_path, kind, controller); },
+      {seconds(120)});
 }
 
 TEST(HostFastPathTest, TraceIdenticalToSlowLoopCredit) {
@@ -191,34 +176,7 @@ TEST(HostFastPathTest, BulkIdleSkipMatchesSteppedRun) {
   auto stepped = build();
 
   auto expect_equal = [&](const char* where) {
-    ASSERT_EQ(skipped->now(), stepped->now()) << where;
-    EXPECT_EQ(skipped->idle_time(), stepped->idle_time()) << where;
-    EXPECT_EQ(skipped->energy().joules(), stepped->energy().joules()) << where;
-    for (common::VmId v = 0; v < skipped->vm_count(); ++v) {
-      EXPECT_EQ(skipped->vm(v).total_busy, stepped->vm(v).total_busy)
-          << where << " vm " << v;
-      EXPECT_EQ(skipped->vm(v).window_wanting, stepped->vm(v).window_wanting)
-          << where << " vm " << v;
-    }
-    const auto sa = skipped->trace().samples();
-    const auto sb = stepped->trace().samples();
-    ASSERT_EQ(sa.size(), sb.size()) << where;
-    for (std::size_t i = 0; i < sa.size(); ++i) {
-      const auto ra = sa[i];
-      const auto rb = sb[i];
-      EXPECT_EQ(ra.t, rb.t) << where << " row " << i;
-      EXPECT_EQ(ra.freq_mhz, rb.freq_mhz) << where << " row " << i;
-      EXPECT_EQ(ra.global_load_pct, rb.global_load_pct) << where << " row " << i;
-      EXPECT_EQ(ra.absolute_load_pct, rb.absolute_load_pct) << where << " row " << i;
-      for (std::size_t v = 0; v < skipped->vm_count(); ++v) {
-        EXPECT_EQ(ra.vm_global_pct[v], rb.vm_global_pct[v])
-            << where << " row " << i << " vm " << v;
-        EXPECT_EQ(ra.vm_credit_pct[v], rb.vm_credit_pct[v])
-            << where << " row " << i << " vm " << v;
-        EXPECT_EQ(ra.vm_saturated[v], rb.vm_saturated[v])
-            << where << " row " << i << " vm " << v;
-      }
-    }
+    EXPECT_EQ(check::first_divergence(*skipped, *stepped), "") << where;
   };
 
   // Phase 1: run both through the busy pulse into the idle stretch.
@@ -266,22 +224,11 @@ TEST(HostFastPathTest, OffGridEventPeriodsStayIdentical) {
                           wl::LoadProfile::pulse(seconds(3), seconds(6), rate), wc));
     return host;
   };
-  auto slow = build(false);
-  auto fast = build(true);
-  slow->run_until(seconds(20));
-  fast->run_until(seconds(20));
-  EXPECT_EQ(slow->idle_time(), fast->idle_time());
-  EXPECT_EQ(slow->vm(0).total_busy, fast->vm(0).total_busy);
+  const auto [slow, fast] = expect_modes_identical(build, {seconds(20)});
   const auto& web_slow = dynamic_cast<const wl::WebApp&>(slow->workload(0));
   const auto& web_fast = dynamic_cast<const wl::WebApp&>(fast->workload(0));
   EXPECT_EQ(web_slow.completed(), web_fast.completed());
   EXPECT_EQ(web_slow.latency_sec().mean(), web_fast.latency_sec().mean());
-  ASSERT_EQ(slow->trace().size(), fast->trace().size());
-  for (std::size_t i = 0; i < slow->trace().size(); ++i) {
-    EXPECT_EQ(slow->trace().sample(i).vm_global_pct[0],
-              fast->trace().sample(i).vm_global_pct[0])
-        << "row " << i;
-  }
 }
 
 TEST(HostFastPathTest, SpuriousWakeupRetriesOthers) {
@@ -349,35 +296,22 @@ TEST(HostFastPathTest, AllOverCapIdleAccruesWanting) {
 TEST(HostFastPathTest, OverCapIdleIdenticalAcrossModes) {
   // Over-cap idling down to the microsecond: both modes agree on the
   // wanting accrual, busy time and idle time.
-  Host slow{[] {
-              HostConfig hc;
-              hc.trace_stride = SimTime{};
-              hc.event_driven_fast_path = false;
-              return hc;
-            }(),
-            std::make_unique<sched::CreditScheduler>()};
-  Host fast{[] {
-              HostConfig hc;
-              hc.trace_stride = SimTime{};
-              hc.event_driven_fast_path = true;
-              return hc;
-            }(),
-            std::make_unique<sched::CreditScheduler>()};
-  for (Host* h : {&slow, &fast}) {
-    VmConfig a;
-    a.credit = 15.0;
-    h->add_vm(a, std::make_unique<wl::BusyLoop>());
-    VmConfig b;
-    b.credit = 25.0;
-    h->add_vm(b, std::make_unique<wl::GatedBusyLoop>(
-                     wl::LoadProfile::pulse(seconds(2), seconds(7), 1.0)));
-    h->run_until(common::msec(8765));
-  }
-  EXPECT_EQ(slow.idle_time(), fast.idle_time());
-  for (common::VmId v = 0; v < 2; ++v) {
-    EXPECT_EQ(slow.vm(v).total_busy, fast.vm(v).total_busy);
-    EXPECT_EQ(slow.vm(v).window_wanting, fast.vm(v).window_wanting);
-  }
+  (void)expect_modes_identical(
+      [](bool fast_path) {
+        HostConfig hc;
+        hc.trace_stride = SimTime{};
+        hc.event_driven_fast_path = fast_path;
+        auto h = std::make_unique<Host>(hc, std::make_unique<sched::CreditScheduler>());
+        VmConfig a;
+        a.credit = 15.0;
+        h->add_vm(a, std::make_unique<wl::BusyLoop>());
+        VmConfig b;
+        b.credit = 25.0;
+        h->add_vm(b, std::make_unique<wl::GatedBusyLoop>(
+                         wl::LoadProfile::pulse(seconds(2), seconds(7), 1.0)));
+        return h;
+      },
+      {common::msec(8765)});
 }
 
 // --- over-cap refill collapse (Host::collapse_refills) ---
@@ -416,12 +350,10 @@ std::unique_ptr<Host> build_deep_overcap_host(bool fast_path, Sched kind) {
 
 TEST(HostFastPathTest, DeepOverCapHogsIdenticalAcrossModes) {
   for (const Sched kind : {Sched::kCredit, Sched::kSedf, Sched::kCredit2}) {
-    auto slow = build_deep_overcap_host(/*fast_path=*/false, kind);
-    auto fast = build_deep_overcap_host(/*fast_path=*/true, kind);
-    slow->run_until(seconds(15));
-    fast->run_until(seconds(15));
+    const auto [slow, fast] = expect_modes_identical(
+        [kind](bool fast_path) { return build_deep_overcap_host(fast_path, kind); },
+        {seconds(15)});
     const std::string where = "sched " + std::string(slow->scheduler().name());
-    expect_hosts_identical(*slow, *fast, where);
     EXPECT_EQ(slow->refills_collapsed(), 0u) << where;  // reference mode never collapses
     if (kind == Sched::kCredit) {
       // The hogs really sit in deep debt, so refills are crossed in bulk.
@@ -450,31 +382,21 @@ TEST(HostFastPathTest, TransitionHintMidCollapseStopsIt) {
     host->add_vm(capped("idle", 5.0), std::make_unique<wl::IdleGuest>());
     return host;
   };
-  auto slow = build(false);
-  auto fast = build(true);
-  slow->run_until(seconds(6));
-  fast->run_until(seconds(6));
-  expect_hosts_identical(*slow, *fast, "6 s");
-  EXPECT_GT(fast->refills_collapsed(), 0u);
+  EXPECT_GT(expect_modes_identical(build, {seconds(6)}).fast->refills_collapsed(), 0u);
 }
 
 TEST(HostFastPathTest, ChunkedRunUntilOffGridIdentical) {
   // run_until bounds at off-grid instants cut collapses short (`until` is
   // a strict bound) and re-anchor the quantum grid — in the reference loop
   // too, so both modes step the same chunks and must agree at every one.
-  auto slow = build_deep_overcap_host(/*fast_path=*/false, Sched::kCredit);
-  auto fast = build_deep_overcap_host(/*fast_path=*/true, Sched::kCredit);
-  const SimTime chunks[] = {common::usec(37'001),    common::msec(301),
-                            common::usec(999'999),   common::msec(1000),
-                            common::usec(1'000'001), common::msec(2345),
-                            common::usec(4'321'987), common::msec(7777),
-                            seconds(12)};
-  for (const SimTime t : chunks) {
-    slow->run_until(t);
-    fast->run_until(t);
-    expect_hosts_identical(*slow, *fast, "chunk to " + std::to_string(t.us()) + " us");
-  }
-  EXPECT_GT(fast->refills_collapsed(), 0u);
+  const ModeRuns runs = expect_modes_identical(
+      [](bool fast_path) { return build_deep_overcap_host(fast_path, Sched::kCredit); },
+      {common::usec(37'001),    common::msec(301),
+       common::usec(999'999),   common::msec(1000),
+       common::usec(1'000'001), common::msec(2345),
+       common::usec(4'321'987), common::msec(7777),
+       seconds(12)});
+  EXPECT_GT(runs.fast->refills_collapsed(), 0u);
 }
 
 TEST(HostFastPathTest, MonitorCloseCoincidingWithRefillIdentical) {
@@ -492,15 +414,8 @@ TEST(HostFastPathTest, MonitorCloseCoincidingWithRefillIdentical) {
     host->add_vm(capped("idle", 10.0), std::make_unique<wl::IdleGuest>());
     return host;
   };
-  auto slow = build(false);
-  auto fast = build(true);
-  slow->run_until(seconds(3));
-  fast->run_until(seconds(3));
-  expect_hosts_identical(*slow, *fast, "t = 3 s");
-  slow->run_until(seconds(8));
-  fast->run_until(seconds(8));
-  expect_hosts_identical(*slow, *fast, "t = 8 s");
-  EXPECT_GT(fast->refills_collapsed(), 0u);
+  EXPECT_GT(expect_modes_identical(build, {seconds(3), seconds(8)}).fast->refills_collapsed(),
+            0u);
 }
 
 TEST(HostFastPathTest, ControllerTickSharingRefillInstantIdentical) {
@@ -528,12 +443,7 @@ TEST(HostFastPathTest, ControllerTickSharingRefillInstantIdentical) {
                  }}));
     return host;
   };
-  auto slow = build(false);
-  auto fast = build(true);
-  slow->run_until(seconds(15));
-  fast->run_until(seconds(15));
-  expect_hosts_identical(*slow, *fast, "15 s");
-  EXPECT_GT(fast->refills_collapsed(), 0u);
+  EXPECT_GT(expect_modes_identical(build, {seconds(15)}).fast->refills_collapsed(), 0u);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <memory>
 #include <vector>
 
+#include "check/divergence.hpp"
 #include "common/units.hpp"
 #include "hypervisor/host.hpp"
 #include "hypervisor/scheduler.hpp"
@@ -90,16 +91,7 @@ TEST(SchedulerDocExampleTest, HostRunsIdenticalFastAndSlowAndSharesEvenly) {
   slow->run_until(common::seconds(60));
   fast->run_until(common::seconds(60));
 
-  ASSERT_EQ(slow->trace().size(), fast->trace().size());
-  for (std::size_t i = 0; i < slow->trace().size(); ++i) {
-    const auto a = slow->trace().sample(i);
-    const auto b = fast->trace().sample(i);
-    ASSERT_EQ(a.t, b.t) << i;
-    for (std::size_t v = 0; v < 3; ++v)
-      ASSERT_EQ(a.vm_global_pct[v], b.vm_global_pct[v]) << i << " vm " << v;
-  }
-  for (common::VmId v = 0; v < 3; ++v)
-    ASSERT_EQ(slow->vm(v).total_busy, fast->vm(v).total_busy) << v;
+  ASSERT_EQ(check::first_divergence(*slow, *fast), "");
 
   // Least-attained-service over identical hogs = equal thirds.
   const double total = common::seconds(60).sec();

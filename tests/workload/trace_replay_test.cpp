@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "check/divergence.hpp"
 #include "hypervisor/host.hpp"
 #include "sched/credit_scheduler.hpp"
 
@@ -215,17 +216,7 @@ TEST(TraceReplayTest, HostRunsIdenticalFastAndSlow) {
   slow->run_until(seconds(41));
   fast->run_until(seconds(41));
 
-  const auto a = slow->trace().samples();
-  const auto b = fast->trace().samples();
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i].t, b[i].t) << i;
-    ASSERT_EQ(a[i].vm_absolute_pct[0], b[i].vm_absolute_pct[0]) << i;
-    ASSERT_EQ(a[i].vm_global_pct[0], b[i].vm_global_pct[0]) << i;
-  }
-  ASSERT_EQ(slow->idle_time(), fast->idle_time());
-  ASSERT_EQ(slow->vm(0).total_busy, fast->vm(0).total_busy);
-  ASSERT_EQ(slow->vm(0).total_work, fast->vm(0).total_work);
+  ASSERT_EQ(check::first_divergence(*slow, *fast), "");
   // The fast path actually skipped the idle tail (vacuity guard: the trace
   // leaves the host idle more than half the run).
   EXPECT_GT(slow->idle_time().sec(), 20.0);

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <memory>
 
+#include "check/divergence.hpp"
 #include "common/units.hpp"
 #include "hypervisor/host.hpp"
 #include "sched/credit_scheduler.hpp"
@@ -72,16 +73,7 @@ TEST(WorkloadDocExampleTest, RunsIdenticalFastAndSlow) {
   slow->run_until(common::seconds(100));
   fast->run_until(common::seconds(100));
 
-  ASSERT_EQ(slow->trace().size(), fast->trace().size());
-  for (std::size_t i = 0; i < slow->trace().size(); ++i) {
-    const auto a = slow->trace().sample(i);
-    const auto b = fast->trace().sample(i);
-    ASSERT_EQ(a.t, b.t) << i;
-    ASSERT_EQ(a.vm_global_pct[0], b.vm_global_pct[0]) << i;
-    ASSERT_EQ(a.vm_absolute_pct[0], b.vm_absolute_pct[0]) << i;
-  }
-  ASSERT_EQ(slow->idle_time(), fast->idle_time());
-  ASSERT_EQ(slow->vm(0).total_work, fast->vm(0).total_work);
+  ASSERT_EQ(check::first_divergence(*slow, *fast), "");
 
   // 19 beats crossed in 100 s (t = 5..95), 0.25 mf-s each, all served.
   EXPECT_DOUBLE_EQ(slow->vm(0).total_work.mf_seconds(), 19 * 0.25);

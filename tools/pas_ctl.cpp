@@ -170,18 +170,23 @@ int run_repl(const Options& opt) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const pas::common::Flags flags(argc, argv);
   Options opt;
-  opt.commands = flags.get_or("commands", "");
-  opt.results = flags.get_or("results", "");
-  opt.repl = flags.has("repl");
-  opt.hosts = static_cast<std::size_t>(flags.get_int("hosts", 8));
-  opt.vms = static_cast<std::size_t>(flags.get_int("vms", 64));
-  opt.horizon_s = flags.get_double("horizon", 400.0);
-  opt.seed = static_cast<std::uint64_t>(flags.get_int("seed", 17));
-  opt.threads = static_cast<std::size_t>(flags.get_int("threads", 1));
-  opt.fast_path = !flags.has("slow");
-  opt.chaos_seed = static_cast<std::uint64_t>(flags.get_int("chaos-seed", 0));
+  try {
+    const pas::common::Flags flags(argc, argv);
+    opt.commands = flags.get_or("commands", "");
+    opt.results = flags.get_or("results", "");
+    opt.repl = flags.has("repl");
+    opt.hosts = flags.get_count("hosts", 8);
+    opt.vms = flags.get_count("vms", 64);
+    opt.horizon_s = flags.get_double("horizon", 400.0);
+    opt.seed = flags.get_count("seed", 17);
+    opt.threads = flags.get_count("threads", 1);
+    opt.fast_path = !flags.has("slow");
+    opt.chaos_seed = flags.get_count("chaos-seed", 0);
+  } catch (const std::exception& err) {  // a malformed or negative flag
+    std::fprintf(stderr, "pas_ctl: %s\n", err.what());
+    return 2;
+  }
 
   if (!opt.repl && opt.commands.empty()) {
     std::fprintf(stderr,
