@@ -11,9 +11,8 @@
 #include "consolidation/consolidation.hpp"
 #include "platform/host_class.hpp"
 
-int main(int argc, char** argv) {
+static int run(const pas::common::Flags& flags) {
   using namespace pas;
-  const common::Flags flags{argc, argv};
   const int vm_count = static_cast<int>(flags.get_count("vms", 24));
 
   const auto fleet =
@@ -52,3 +51,5 @@ int main(int argc, char** argv) {
               "bill — the paper's §2.3 argument, quantified.\n");
   return 0;
 }
+
+int main(int argc, char** argv) { return pas::common::run_main(argc, argv, run); }

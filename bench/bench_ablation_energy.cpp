@@ -37,8 +37,7 @@ void report(const char* name, const scenario::TwoVmResult& r) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const common::Flags flags{argc, argv};
+static int run(const pas::common::Flags& flags) {
   const bool short_run = flags.has("short");
 
   std::printf("=== Ablation C: energy vs QoS under thrashing load ===\n\n");
@@ -88,3 +87,5 @@ int main(int argc, char** argv) {
       "(see bench_ablation_impl_choice).\n");
   return 0;
 }
+
+int main(int argc, char** argv) { return pas::common::run_main(argc, argv, run); }

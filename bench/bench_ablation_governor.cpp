@@ -10,9 +10,8 @@
 #include "common/flags.hpp"
 #include "scenario/two_vm.hpp"
 
-int main(int argc, char** argv) {
+static int run(const pas::common::Flags& flags) {
   using namespace pas;
-  const common::Flags flags{argc, argv};
 
   std::printf("=== Ablation B: governor policies on the two-VM exact-load profile ===\n\n");
   std::printf("  %-16s %12s %10s %10s %14s %14s\n", "governor", "transitions", "avg W",
@@ -46,3 +45,5 @@ int main(int argc, char** argv) {
       "higher energy — and still violates V20's SLA, which is why PAS exists.\n");
   return 0;
 }
+
+int main(int argc, char** argv) { return pas::common::run_main(argc, argv, run); }

@@ -88,8 +88,7 @@ StepResult run_design(const Design& d, int cycles) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const common::Flags flags{argc, argv};
+static int run(const pas::common::Flags& flags) {
   const int cycles = static_cast<int>(flags.get_count("cycles", 5));
 
   std::printf("=== Ablation A: PAS implementation choices (paper §4.1) ===\n");
@@ -111,3 +110,5 @@ int main(int argc, char** argv) {
               "daemon period.\n");
   return 0;
 }
+
+int main(int argc, char** argv) { return pas::common::run_main(argc, argv, run); }

@@ -66,17 +66,16 @@
 //
 // --scale-hosts=N (with --scale-vms, --scale-horizon) adds the SCALE tier:
 // the same hosting scenario at fleet size (the CI gate runs 1000 hosts x
-// 10000 VMs), executed twice — the default manager (live-set memo plus
-// unchanged-tick early-out) against the replan_every_tick reference, which
-// runs a from-scratch place_ffd on every tick — with byte-identity between
-// the two ALWAYS gated: the memo and the early-out are optimizations,
-// never a behavior change. Planner wall time is metered inside the
-// manager (planner_ns / planning ticks / plans skipped) and lands in the
-// `scale{...}` JSON block; --require-scale-rate puts a sim-s/wall-s floor
-// on the scale run, --require-planner-speedup a floor on replan-vs-memo
-// planner time, and --require-scale-planner-ns a ceiling on the default
-// run's planner ns per manager tick (all full runs only — --smoke is
-// exempt, scale needs scale).
+// 10000 VMs), executed twice — the default manager (live-set memo)
+// against the replan_every_tick reference, which runs a from-scratch
+// place_ffd on every tick — with byte-identity between the two ALWAYS
+// gated: the memo is an optimization, never a behavior change. Planner
+// wall time is metered inside the manager (planner_ns / planning ticks)
+// and lands in the `scale{...}` JSON block; --require-scale-rate puts a
+// sim-s/wall-s floor on the scale run, --require-planner-speedup a floor
+// on replan-vs-memo planner time, and --require-scale-planner-ns a
+// ceiling on the default run's planner ns per manager tick (all full runs
+// only — --smoke is exempt, scale needs scale).
 //
 // Every invocation also reports the sparse driver's dispatch counters in
 // the `engine{...}` JSON block (segments / dispatches / bulk_skips /
@@ -317,12 +316,23 @@ Json hetero_tier(Bench& b) {
                        .num("efficient_first_saving_watts", *b.r.hetero_saving, 3));
 }
 
+/// Reads an input a flag names. An unreadable or malformed one is bad
+/// usage, like a malformed flag: exit 2, not a failed gate.
+template <class Read>
+auto read_input(const Read& read) {
+  try {
+    return read();
+  } catch (const std::exception& err) {
+    throw pas::common::UsageError(err.what());
+  }
+}
+
 // Recorded-demand tenants (every one a wl::TraceReplay over --trace=DIR)
 // on the same fleet, across every engine.
 Json trace_tier(Bench& b) {
   HostingClusterConfig cfg = b.base;
   cfg.workload = pas::scenario::WorkloadPreset::kTrace;
-  cfg.traces = pas::wl::Trace::load_dir(b.flags.get_or("trace", ""));
+  cfg.traces = read_input([&] { return pas::wl::Trace::load_dir(b.flags.get_or("trace", "")); });
   const auto d = engines(cfg, b.threads, b.horizon);
   b.r.replay = d.both();
   return std::move(Json{}
@@ -374,13 +384,15 @@ Json chaos_tier(Bench& b) {
 // stream re-recording itself verbatim (ctl::results_to_annotations).
 Json control_tier(Bench& b) {
   const std::string file = b.flags.get_or("commands", "");
-  std::ifstream in(file, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open " + file);
-  std::ostringstream text;
-  text << in.rdbuf();
   const pas::ctl::FleetDims dims{b.base.hosts, b.base.vms};
   HostingClusterConfig cfg = b.base;
-  cfg.commands = pas::ctl::parse_tasks(text.str(), file, dims);
+  cfg.commands = read_input([&] {
+    std::ifstream in(file, std::ios::binary);
+    if (!in) throw std::runtime_error("cannot open " + file);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return pas::ctl::parse_tasks(text.str(), file, dims);
+  });
   const auto d = engines(cfg, b.threads, b.horizon);
   b.r.control = d.both();
   b.r.control.add("re-record", first_divergence(*d.fast, *run(cfg, b.horizon)));
@@ -402,8 +414,8 @@ Json control_tier(Bench& b) {
                        .verdict("replay_identical", b.r.control.identical));
 }
 
-// The memoized planner at fleet size: the default manager (live-set memo +
-// unchanged-tick early-out) against the replan_every_tick reference, both
+// The memoized planner at fleet size: the default manager (live-set memo)
+// against the replan_every_tick reference, both
 // on the full engine at --threads. The memo is an optimization, never a
 // behavior change: byte-identity is the whole contract.
 Json scale_tier(Bench& b) {
@@ -424,9 +436,8 @@ Json scale_tier(Bench& b) {
   const pas::cluster::ClusterManager& memo = *d.fast->manager();
   const pas::cluster::ClusterManager& replan = *d.ref->manager();
   const pas::cluster::PlanStats& ps = memo.book_stats();
-  // Amortized planner cost per manager tick: skipped ticks count — the
-  // early-out is exactly what buys the amortization.
-  const std::size_t ticks = memo.planning_ticks() + memo.plans_skipped();
+  // Planner cost per manager tick: every live tick runs a planning pass.
+  const std::size_t ticks = memo.planning_ticks();
   const auto memo_ns = static_cast<double>(memo.planner_ns());
   b.r.scale_rate = rate(cfg.horizon, d.fast_wall);
   b.r.planner_ns_per_tick = ticks > 0 ? memo_ns / static_cast<double>(ticks) : 0.0;
@@ -440,7 +451,6 @@ Json scale_tier(Bench& b) {
           .obj("memo", timing(d.fast_wall, *b.r.scale_rate)
                            .count("planner_ns", memo.planner_ns())
                            .count("planning_ticks", memo.planning_ticks())
-                           .count("plans_skipped", memo.plans_skipped())
                            .num("planner_ns_per_tick", *b.r.planner_ns_per_tick, 1))
           .obj("replan", Json{}
                              .num("wall_seconds", d.ref_wall, 6)
@@ -664,7 +674,7 @@ int run_bench(const pas::common::Flags& flags) {
       .count("hosts_on_final", b.fast->powered_on_count());
 
   std::ofstream js{out};
-  if (!js) throw std::runtime_error("cannot write " + out);
+  if (!js) throw pas::common::UsageError("cannot write " + out);
   js << json.render() << "\n";
   std::printf("  written to %s\n", out.c_str());
   return apply_gates(flags, b.r);
@@ -672,11 +682,4 @@ int run_bench(const pas::common::Flags& flags) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  try {
-    return run_bench(pas::common::Flags{argc, argv});
-  } catch (const std::exception& err) {
-    std::fprintf(stderr, "bench_cluster_consolidation: %s\n", err.what());
-    return 2;
-  }
-}
+int main(int argc, char** argv) { return pas::common::run_main(argc, argv, run_bench); }

@@ -103,8 +103,8 @@ std::unique_ptr<pas::hv::Host> build_host(bool fast_path, SimTime horizon) {
 int run_bench(const pas::common::Flags& flags) {
   const long horizon_s = flags.get_int("horizon", flags.has("smoke") ? 400 : 4000);
   if (horizon_s < 32)  // shorter horizons make the staggered windows empty
-    throw std::invalid_argument("--horizon must be >= 32 (got " + std::to_string(horizon_s) +
-                                ")");
+    throw pas::common::UsageError("--horizon must be >= 32 (got " +
+                                  std::to_string(horizon_s) + ")");
   const std::string out = flags.get_or("out", "BENCH_core.json");
   const SimTime horizon = seconds(horizon_s);
   const auto rate = [horizon_s](double wall) { return static_cast<double>(horizon_s) / wall; };
@@ -116,7 +116,7 @@ int run_bench(const pas::common::Flags& flags) {
   const std::string only = flags.get_or("only", "");
   if (!only.empty()) {
     if (only != "fast" && only != "slow")
-      throw std::invalid_argument("--only takes 'fast' or 'slow'");
+      throw pas::common::UsageError("--only takes 'fast' or 'slow'");
     auto host = build_host(/*fast_path=*/only == "fast", horizon);
     const double wall = pas::bench::timed(*host, horizon);
     std::printf("  %s loop: %8.2f wall ms   %10.0f sim-s/wall-s\n", only.c_str(), wall * 1e3,
@@ -136,7 +136,7 @@ int run_bench(const pas::common::Flags& flags) {
               d.reference.identical == true ? "yes" : "NO");
 
   std::ofstream js{out};
-  if (!js) throw std::runtime_error("cannot write " + out);
+  if (!js) throw pas::common::UsageError("cannot write " + out);
   js << pas::bench::Json{}
             .str("bench", "core_throughput")
             .raw("machine", pas::bench::machine_json())
@@ -166,11 +166,4 @@ int run_bench(const pas::common::Flags& flags) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  try {
-    return run_bench(pas::common::Flags{argc, argv});
-  } catch (const std::exception& err) {
-    std::fprintf(stderr, "bench_core_throughput: %s\n", err.what());
-    return 2;
-  }
-}
+int main(int argc, char** argv) { return pas::common::run_main(argc, argv, run_bench); }

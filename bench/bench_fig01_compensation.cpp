@@ -13,9 +13,8 @@
 #include "common/flags.hpp"
 #include "core/compensation.hpp"
 
-int main(int argc, char** argv) {
+static int run(const pas::common::Flags& flags) {
   using namespace pas;
-  const common::Flags flags{argc, argv};
   const auto ladder = cpu::FrequencyLadder::paper_default();
   const std::size_t max_state = ladder.max_index();
   const std::size_t new_state = ladder.index_of(common::mhz(2133));
@@ -75,3 +74,5 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+int main(int argc, char** argv) { return pas::common::run_main(argc, argv, run); }

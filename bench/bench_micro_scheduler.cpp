@@ -106,4 +106,12 @@ BENCHMARK(BM_HostSimulationThroughput)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+// Google Benchmark parses its own flags; one it does not recognize (or
+// cannot parse) is a usage error, exit 2, like every other binary here.
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 2;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -10,9 +10,8 @@
 #include "common/csv.hpp"
 #include "common/flags.hpp"
 
-int main(int argc, char** argv) {
+static int run(const pas::common::Flags& flags) {
   using namespace pas;
-  const common::Flags flags{argc, argv};
 
   calib::CfCalibratorConfig cfg;
   cfg.measure_time = common::seconds(flags.get_int("measure", 120));
@@ -56,3 +55,5 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+int main(int argc, char** argv) { return pas::common::run_main(argc, argv, run); }

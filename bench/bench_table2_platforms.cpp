@@ -10,9 +10,8 @@
 #include "common/flags.hpp"
 #include "platform/catalog.hpp"
 
-int main(int argc, char** argv) {
+static int run(const pas::common::Flags& flags) {
   using namespace pas;
-  const common::Flags flags{argc, argv};
 
   platform::Table2Config cfg;
   // Full-size runs land near the paper's absolute seconds; --fast scales
@@ -54,3 +53,5 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+int main(int argc, char** argv) { return pas::common::run_main(argc, argv, run); }

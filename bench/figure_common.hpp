@@ -23,8 +23,7 @@ struct FigureSpec {
   bool absolute_view = false;  // plot absolute (vs global) loads
 };
 
-inline int run_figure(int argc, char** argv, FigureSpec spec) {
-  const common::Flags flags{argc, argv};
+inline int draw_figure(const common::Flags& flags, FigureSpec spec) {
   if (flags.has("short")) {
     spec.cfg.total = common::seconds(2000);
     spec.cfg.v20_from = common::seconds(100);
@@ -52,6 +51,11 @@ inline int run_figure(int argc, char** argv, FigureSpec spec) {
   }
   std::fputs("\n", stdout);
   return 0;
+}
+
+inline int run_figure(int argc, char** argv, const FigureSpec& spec) {
+  return common::run_main(argc, argv,
+                          [&spec](const common::Flags& flags) { return draw_figure(flags, spec); });
 }
 
 }  // namespace pas::bench

@@ -13,9 +13,8 @@
 #include "consolidation/consolidation.hpp"
 #include "platform/host_class.hpp"
 
-int main(int argc, char** argv) {
+static int run(const pas::common::Flags& flags) {
   using namespace pas;
-  const common::Flags flags{argc, argv};
   const auto vm_count = flags.get_count("vms", 32);
   const auto host_count = flags.get_count("hosts", 16);
 
@@ -94,3 +93,5 @@ int main(int argc, char** argv) {
                   : 0.0);
   return 0;
 }
+
+int main(int argc, char** argv) { return pas::common::run_main(argc, argv, run); }

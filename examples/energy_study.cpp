@@ -56,8 +56,7 @@ Outcome run(double total_demand_pct, const std::string& policy, common::SimTime 
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const common::Flags flags{argc, argv};
+static int run_study(const pas::common::Flags& flags) {
   const auto span = common::seconds(flags.get_int("minutes", 20) * 60);
 
   std::printf("Energy vs consolidation level (two thrashing VMs, credits = demand).\n");
@@ -82,3 +81,5 @@ int main(int argc, char** argv) {
               "frequency that can carry it.\n");
   return 0;
 }
+
+int main(int argc, char** argv) { return pas::common::run_main(argc, argv, run_study); }

@@ -40,8 +40,7 @@ wl::LoadProfile day_profile(common::SimTime span, double peak_demand_pct,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const common::Flags flags{argc, argv};
+static int run(const pas::common::Flags& flags) {
   const auto span = common::seconds(flags.get_int("span", 3600));
   const double credit = flags.get_double("credit", 90.0);
 
@@ -87,3 +86,5 @@ int main(int argc, char** argv) {
               "sane default; conservative lags the morning ramp.\n");
   return 0;
 }
+
+int main(int argc, char** argv) { return pas::common::run_main(argc, argv, run); }

@@ -69,8 +69,7 @@ AuditRow run_policy(const std::string& policy, const scenario::HostingClusterCon
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const common::Flags flags{argc, argv};
+static int run(const pas::common::Flags& flags) {
   scenario::HostingClusterConfig base;
   base.horizon = common::seconds(flags.get_int("hours", 2) * 3600);
   base.hosts = flags.get_count("hosts", 8);
@@ -96,3 +95,5 @@ int main(int argc, char** argv) {
       "DVFS is complementary to consolidation (paper §2.3), live.\n");
   return 0;
 }
+
+int main(int argc, char** argv) { return pas::common::run_main(argc, argv, run); }

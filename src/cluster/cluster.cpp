@@ -134,7 +134,7 @@ GlobalVmId Cluster::admit_inbound(ClusterVmConfig config, HostId home) {
   // link's attach delivers the guest (workload + credit) into it.
   const GlobalVmId gid = register_vm(std::move(config), std::make_unique<wl::IdleGuest>(),
                                      home, VmState::kInbound);
-  set_powered(home, true);  // the destination must be receiving
+  power(home, true);  // the destination must be receiving
   return gid;
 }
 
@@ -154,7 +154,6 @@ GlobalVmId Cluster::register_vm(ClusterVmConfig config, std::unique_ptr<wl::Work
   migration_count_.push_back(0);
   fed_locked_.push_back(0);
   record_slot(home, gid, slot_id);
-  ++topology_version_;
   return gid;
 }
 
@@ -166,14 +165,13 @@ void Cluster::mark_departed(GlobalVmId vm) {
   // flight, credit exported, cap zeroed) — only the bookkeeping is ours.
   vm_state_[vm] = VmState::kDeparted;
   fed_locked_[vm] = 0;
-  ++topology_version_;
 }
 
 void Cluster::complete_inbound(GlobalVmId vm, common::SimTime downtime) {
   if (vm >= vm_cfgs_.size()) throw std::invalid_argument("Cluster: bad VM id");
   if (vm_state_[vm] != VmState::kInbound)
     throw std::logic_error("Cluster: complete_inbound on a non-inbound VM");
-  set_powered(home_[vm], true);
+  power(home_[vm], true);
   vm_state_[vm] = VmState::kRunning;
   downtime_[vm] += downtime;
   ++migration_count_[vm];
@@ -182,7 +180,6 @@ void Cluster::complete_inbound(GlobalVmId vm, common::SimTime downtime) {
   // bought.
   if (downtime > common::SimTime{})
     sla_.record_window(vm, downtime, 0.0, /*saturated=*/true);
-  ++topology_version_;
 }
 
 void Cluster::set_federation_lock(GlobalVmId vm, bool locked) {
@@ -289,7 +286,6 @@ void Cluster::sample_sla(common::SimTime /*now*/) {
 }
 
 void Cluster::on_migration_done(const MigrationRecord& record) {
-  ++topology_version_;  // any outcome: a flight left the in-flight set
   switch (record.outcome) {
     case MigrationOutcome::kCompleted:
       home_[record.vm] = record.to;
@@ -321,23 +317,144 @@ void Cluster::on_migration_done(const MigrationRecord& record) {
   }
 }
 
-bool Cluster::migrate(GlobalVmId vm, HostId to) {
-  if (vm >= vm_cfgs_.size()) throw std::invalid_argument("Cluster: bad VM id");
-  if (to >= hosts_.size()) throw std::invalid_argument("Cluster: bad destination host");
-  if (to == home_[vm] || engine_->in_flight(vm)) return false;
-  if (vm_state_[vm] != VmState::kRunning || crashed_[to]) return false;
-  if (fed_locked_[vm]) return false;  // a federation flight owns its placement
+namespace {
 
-  const HostId from = home_[vm];
-  set_powered(to, true);  // the destination must be receiving
-  const ClusterVmConfig& cfg = vm_cfgs_[vm];
-  MigrationEngine::Endpoint source{hosts_[from].get(), home_slot_[vm], agents_[from], 0};
-  MigrationEngine::Endpoint dest{hosts_[to].get(), ensure_slot(to, vm), agents_[to], 0};
-  engine_->begin(vm, from, to, source, dest, cfg.memory_mb, cfg.dirty_mb_per_s,
-                 cfg.vm.credit, now_,
-                 [this](const MigrationRecord& r) { on_migration_done(r); });
-  ++topology_version_;
-  return true;
+/// "<noun> <id> <what>" — a refusal naming its target.
+Outcome refuse(Status status, const char* noun, std::uint32_t id, const char* what) {
+  Outcome out{status, noun};
+  out.reason.append(" ").append(std::to_string(id)).append(" ").append(what);
+  return out;
+}
+
+/// The VM-state rung of migrate, stop_vm and start_vm: `want` passes; a
+/// crash or a federation hand-off supersedes; anything else is rejected.
+Outcome state_rung(VmState state, VmState want, CommandKind kind, GlobalVmId vm) {
+  const auto no = [vm](Status s, const char* what) { return refuse(s, "vm", vm, what); };
+  switch (state == want ? VmState::kRunning : state) {
+    case VmState::kLost: return no(Status::kSuperseded, "lost");
+    case VmState::kOrphaned: return no(Status::kSuperseded, "orphaned by a crash");
+    case VmState::kDeparted: return no(Status::kSuperseded, "departed to another shard");
+    case VmState::kInbound: return no(Status::kRejected, "inbound from another shard");
+    case VmState::kStopped:
+      return no(Status::kRejected, kind == CommandKind::kStopVm ? "already stopped" : "is stopped");
+    case VmState::kRunning: break;
+  }
+  return state == want ? Outcome{} : no(Status::kRejected, "already running");
+}
+
+}  // namespace
+
+Outcome Cluster::check(const Command& cmd) const {
+  using K = CommandKind;
+  const K k = cmd.kind;
+  if ((k == K::kMigrate || k == K::kStopVm || k == K::kStartVm || k == K::kRestartVm ||
+       k == K::kMarkLost || k == K::kAbortMigration) && cmd.vm >= vm_cfgs_.size())
+    throw std::invalid_argument("Cluster: bad VM id");
+  if ((k == K::kMigrate || k == K::kStartVm || k == K::kCrashHost || k == K::kRestartVm ||
+       k == K::kPowerOn || k == K::kPowerOff) && cmd.host >= hosts_.size())
+    throw std::invalid_argument("Cluster: bad host id");
+  const auto vm_no = [&](Status s, const char* why) { return refuse(s, "vm", cmd.vm, why); };
+  const auto host_no = [&](Status s, const char* why) { return refuse(s, "host", cmd.host, why); };
+  const Status rej = Status::kRejected;
+  const Status sup = Status::kSuperseded;
+  Outcome out;
+  switch (k) {
+    case K::kMigrate:
+      out = state_rung(vm_state_[cmd.vm], VmState::kRunning, k, cmd.vm);
+      if (!out.ok()) return out;
+      if (crashed_[cmd.host]) return host_no(sup, "crashed");
+      if (home_[cmd.vm] == cmd.host) {
+        out = vm_no(rej, "already resident on host ");
+        out.reason += std::to_string(cmd.host);
+        return out;
+      }
+      if (engine_->in_flight(cmd.vm)) return vm_no(rej, "already in flight");
+      if (fed_locked_[cmd.vm]) return vm_no(rej, "locked by a federation flight");
+      return out;
+    case K::kStopVm:
+      out = state_rung(vm_state_[cmd.vm], VmState::kRunning, k, cmd.vm);
+      if (!out.ok()) return out;
+      if (engine_->in_flight(cmd.vm)) return vm_no(rej, "in flight");
+      if (fed_locked_[cmd.vm]) return vm_no(rej, "locked by a federation flight");
+      return out;
+    case K::kStartVm:
+      out = state_rung(vm_state_[cmd.vm], VmState::kStopped, k, cmd.vm);
+      return out.ok() && crashed_[cmd.host] ? host_no(sup, "crashed") : out;
+    case K::kCrashHost:
+      if (crashed_[cmd.host]) return host_no(sup, "already crashed");
+      // A zero-host cluster cannot be simulated.
+      if (crashed_count() + 1 >= hosts_.size()) return host_no(rej, "is the last live host");
+      return out;
+    case K::kRestartVm:
+      if (vm_state_[cmd.vm] == VmState::kLost) return vm_no(sup, "lost");
+      if (vm_state_[cmd.vm] != VmState::kOrphaned) return vm_no(rej, "not orphaned");
+      return crashed_[cmd.host] ? host_no(sup, "crashed") : out;
+    case K::kMarkLost:
+      return vm_state_[cmd.vm] != VmState::kOrphaned ? vm_no(rej, "not orphaned") : out;
+    case K::kSetLinkBandwidth:
+      return out;
+    case K::kAbortMigration:
+      return engine_->in_flight(cmd.vm) ? out : vm_no(rej, "not in flight");
+    case K::kAbortOldestMigration:
+      return engine_->active_count() > 0 ? out : Outcome{rej, "no migration in flight"};
+    case K::kPowerOn:
+      return crashed_[cmd.host] ? host_no(sup, "crashed") : out;
+    case K::kPowerOff:
+      return host_in_use(cmd.host) ? host_no(rej, "in use") : out;
+  }
+  return out;
+}
+
+Outcome Cluster::apply(const Command& cmd) {
+  Outcome out = check(cmd);
+  if (!out.ok()) return out;
+  switch (cmd.kind) {
+    case CommandKind::kMigrate: {
+      const HostId from = home_[cmd.vm];
+      power(cmd.host, true);  // the destination must be receiving
+      const ClusterVmConfig& cfg = vm_cfgs_[cmd.vm];
+      MigrationEngine::Endpoint source{hosts_[from].get(), home_slot_[cmd.vm], agents_[from], 0};
+      MigrationEngine::Endpoint dest{hosts_[cmd.host].get(), ensure_slot(cmd.host, cmd.vm),
+                                     agents_[cmd.host], 0};
+      engine_->begin(cmd.vm, from, cmd.host, source, dest, cfg.memory_mb, cfg.dirty_mb_per_s,
+                     cfg.vm.credit, now_,
+                     [this](const MigrationRecord& r) { on_migration_done(r); });
+      break;
+    }
+    case CommandKind::kStopVm:
+      // Same drain as a crash sweep — workload off-host, cap 0, balance
+      // gone — but into the held store on purpose, and with no SLA
+      // consequence: the monitor simply stops sampling a non-running VM
+      // (sample_sla's filter).
+      held_wl_[cmd.vm] = drain(*hosts_[home_[cmd.vm]], home_slot_[cmd.vm]);
+      vm_state_[cmd.vm] = VmState::kStopped;
+      break;
+    case CommandKind::kStartVm: reattach(cmd.vm, cmd.host); break;
+    case CommandKind::kCrashHost: crash(cmd.host, cmd.restart); break;
+    case CommandKind::kRestartVm:
+      // start_vm's re-attach, plus the outage [crash, now] SLA-charged as
+      // one fully violated window: the crash burned the slot's balance.
+      // Recovery may revive a VOVO-parked host.
+      reattach(cmd.vm, cmd.host);
+      if (now_ > held_since_[cmd.vm])
+        sla_.record_window(cmd.vm, now_ - held_since_[cmd.vm], 0.0, /*saturated=*/true);
+      recoveries_.push_back(VmRecovery{cmd.vm, held_since_[cmd.vm], now_});
+      break;
+    case CommandKind::kMarkLost:
+      // SLA windows stopped accruing at the crash: a lost VM has no
+      // further accounting.
+      held_wl_[cmd.vm].reset();
+      vm_state_[cmd.vm] = VmState::kLost;
+      break;
+    case CommandKind::kSetLinkBandwidth: engine_->set_link_bandwidth(cmd.mb_per_s, now_); break;
+    case CommandKind::kAbortMigration: engine_->cancel(cmd.vm, now_); break;
+    case CommandKind::kAbortOldestMigration:
+      engine_->cancel(engine_->in_flight_vms().front(), now_);
+      break;
+    case CommandKind::kPowerOn: power(cmd.host, true); break;
+    case CommandKind::kPowerOff: power(cmd.host, false); break;
+  }
+  return out;
 }
 
 bool Cluster::host_in_use(HostId host) const {
@@ -350,26 +467,11 @@ bool Cluster::host_in_use(HostId host) const {
   return engine_->endpoint_in_flight(host);
 }
 
-bool Cluster::set_powered(HostId host, bool on) {
-  if (host >= hosts_.size()) throw std::invalid_argument("Cluster: bad host id");
-  if (on && crashed_[host]) return false;
-  if (!on && host_in_use(host)) return false;
-  // Only an actual flip is a topology change: the manager's VOVO pass
-  // idempotently re-asserts power states every tick, and those no-ops must
-  // not defeat the unchanged-tick early-out.
-  if (meter_.powered(host) != on) ++topology_version_;
+void Cluster::power(HostId host, bool on) {
   meter_.set_powered(host, on, hosts_[host]->energy().joules());
-  return true;
 }
 
-bool Cluster::crash_host(HostId host, bool restart_orphans) {
-  if (host >= hosts_.size()) throw std::invalid_argument("Cluster: bad host id");
-  if (crashed_[host]) return false;
-  std::size_t alive = 0;
-  for (const auto c : crashed_)
-    if (c == 0) ++alive;
-  if (alive <= 1) return false;  // a zero-host cluster cannot be simulated
-
+void Cluster::crash(HostId host, bool restart_orphans) {
   crashed_[host] = 1;
   // Migrations first, residents second: a destination crash then rolls its
   // guest back onto a source that is still intact, and a source crash
@@ -396,52 +498,8 @@ bool Cluster::crash_host(HostId host, bool restart_orphans) {
   // Silence the host's hypervisor agent too — a crashed host burns no CPU.
   h.scheduler().set_cap(0, 0.0);
   h.scheduler().import_credit(0, common::SimTime{});
-  ++topology_version_;
-  const bool off = set_powered(host, false);
-  (void)off;
-  assert(off && "crashed host must be powerable-off after the sweep");
-  return true;
-}
-
-bool Cluster::restart_vm(GlobalVmId vm, HostId to) {
-  if (vm >= vm_cfgs_.size()) throw std::invalid_argument("Cluster: bad VM id");
-  if (to >= hosts_.size()) throw std::invalid_argument("Cluster: bad host id");
-  if (vm_state_[vm] != VmState::kOrphaned || crashed_[to]) return false;
-
-  // Same re-attach contract as a migration's attach, with an empty
-  // balance: the crash burned whatever the slot held. Recovery may revive
-  // a VOVO-parked host.
-  reattach(vm, to);
-  const common::SimTime outage = now_ - held_since_[vm];
-  if (outage > common::SimTime{})
-    sla_.record_window(vm, outage, 0.0, /*saturated=*/true);
-  recoveries_.push_back(VmRecovery{vm, held_since_[vm], now_});
-  return true;
-}
-
-bool Cluster::stop_vm(GlobalVmId vm) {
-  if (vm >= vm_cfgs_.size()) throw std::invalid_argument("Cluster: bad VM id");
-  if (vm_state_[vm] != VmState::kRunning || engine_->in_flight(vm)) return false;
-  if (fed_locked_[vm]) return false;  // a federation flight owns its placement
-
-  // Same drain as a crash sweep — workload off-host, cap 0, balance gone —
-  // but into the held store on purpose, and with no SLA consequence: the
-  // monitor simply stops sampling a non-running VM (sample_sla's filter).
-  held_wl_[vm] = drain(*hosts_[home_[vm]], home_slot_[vm]);
-  vm_state_[vm] = VmState::kStopped;
-  ++topology_version_;
-  return true;
-}
-
-bool Cluster::start_vm(GlobalVmId vm, HostId to) {
-  if (vm >= vm_cfgs_.size()) throw std::invalid_argument("Cluster: bad VM id");
-  if (to >= hosts_.size()) throw std::invalid_argument("Cluster: bad host id");
-  if (vm_state_[vm] != VmState::kStopped || crashed_[to]) return false;
-
-  // Re-attach like a recovery restart, but without the SLA outage charge:
-  // the interval was a requested stop, not a violation.
-  reattach(vm, to);
-  return true;
+  assert(!host_in_use(host) && "crashed host must be powerable-off after the sweep");
+  power(host, false);
 }
 
 std::unique_ptr<wl::Workload> Cluster::drain(hv::Host& host, common::VmId slot) {
@@ -452,7 +510,7 @@ std::unique_ptr<wl::Workload> Cluster::drain(hv::Host& host, common::VmId slot) 
 }
 
 void Cluster::reattach(GlobalVmId vm, HostId to) {
-  set_powered(to, true);
+  power(to, true);
   hv::Host& dst = *hosts_[to];
   const common::VmId s = ensure_slot(to, vm);
   (void)dst.swap_workload(s, std::move(held_wl_[vm]));
@@ -465,30 +523,6 @@ void Cluster::reattach(GlobalVmId vm, HostId to) {
   home_[vm] = to;
   home_slot_[vm] = s;
   vm_state_[vm] = VmState::kRunning;
-  ++topology_version_;
-}
-
-void Cluster::mark_lost(GlobalVmId vm) {
-  if (vm >= vm_cfgs_.size()) throw std::invalid_argument("Cluster: bad VM id");
-  if (vm_state_[vm] != VmState::kOrphaned) return;
-  held_wl_[vm].reset();
-  vm_state_[vm] = VmState::kLost;
-  ++topology_version_;
-}
-
-bool Cluster::abort_migration(GlobalVmId vm) {
-  if (vm >= vm_cfgs_.size()) throw std::invalid_argument("Cluster: bad VM id");
-  return engine_->cancel(vm, now_);
-}
-
-bool Cluster::abort_oldest_migration() {
-  const auto vms = engine_->in_flight_vms();
-  if (vms.empty()) return false;
-  return engine_->cancel(vms.front(), now_);
-}
-
-void Cluster::set_link_bandwidth(double mb_per_s) {
-  engine_->set_link_bandwidth(mb_per_s, now_);
 }
 
 std::size_t Cluster::crashed_count() const {

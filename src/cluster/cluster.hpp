@@ -40,9 +40,13 @@
 // once created. Lazy creation is what makes fleet scale feasible: at
 // ~10k hosts / 100k VMs the old every-VM-on-every-host layout would mean
 // a billion slots; lazily it is 100k plus one per migration. Slot lookups
-// go through per-host and per-VM sorted maps (slot_on / host_slots), and
-// topology_version() counts every residency/power/lifecycle change so
-// planners can skip ticks where nothing moved.
+// go through per-host and per-VM sorted maps (slot_on / host_slots).
+//
+// Mutation: every state change a running cluster accepts from outside is a
+// Command (cluster/command.hpp) passed to apply(), which decides refusals
+// in one place, check(). The federation hand-off steps (admit_inbound,
+// mark_departed, complete_inbound, set_federation_lock) stay typed: each
+// has one caller and throws on misuse.
 #pragma once
 
 #include <cstddef>
@@ -52,6 +56,7 @@
 #include <utility>
 #include <vector>
 
+#include "cluster/command.hpp"
 #include "cluster/hypervisor_agent.hpp"
 #include "cluster/migration.hpp"
 #include "common/thread_pool.hpp"
@@ -237,60 +242,43 @@ class Cluster {
   /// Advances every host, in lockstep, to absolute time `until`.
   void run_until(common::SimTime until);
 
-  /// Starts a live migration of `vm` to `to`. Returns false (and does
-  /// nothing) if the VM is already in flight or `to` is its current home.
-  /// Powers the destination on. Callable from manager ticks and between
-  /// run_until calls.
-  bool migrate(GlobalVmId vm, HostId to);
+  /// The verdict `apply` would reach for `cmd` now, without acting: kOk,
+  /// or the first refusal rung of its kind with a reason (the ladder is
+  /// tabulated in docs/ARCHITECTURE.md, "The command surface"). Throws
+  /// std::invalid_argument on an out-of-range VM or host id — a caller bug,
+  /// not a refusal.
+  [[nodiscard]] Outcome check(const Command& cmd) const;
 
-  /// Flips a host's power state (VOVO). Powering off excludes the host's
-  /// energy from the cluster total; the host keeps following the clock so
-  /// power-on is instantaneous. Refuses (returns false) to power off a host
-  /// with running resident VMs or an in-flight migration endpoint, and to
-  /// power a crashed host back on.
-  bool set_powered(HostId host, bool on);
-
-  // --- fault hooks (called by fault::FaultInjector events and tests) ---
-
-  /// Fails host `host` at the current instant. Ordering within the crash:
-  /// first every migration with the host as an endpoint aborts (so
-  /// destination-crash rollbacks land on a still-live source), then every
-  /// running resident is torn off the host — held as kOrphaned for the
-  /// manager's recovery path when `restart_orphans`, destroyed as kLost
-  /// otherwise — and finally the host powers off. Refuses (returns false)
-  /// to crash an already-crashed host or the last live one; a crashed host
-  /// keeps following the clock (idle, energy-gated off) so the fleet stays
-  /// lockstep.
-  bool crash_host(HostId host, bool restart_orphans);
-
-  /// Restarts an orphaned VM on live host `to` (the manager's recovery
-  /// path). The outage [crash, now] is SLA-charged as one fully violated
-  /// window; the VM resumes at its purchased credit (compensated for the
-  /// destination's P-state) with an empty credit balance — the crash burned
-  /// whatever balance the slot held. Returns false unless the VM is
-  /// orphaned and `to` is alive.
-  bool restart_vm(GlobalVmId vm, HostId to);
-
-  /// Abandons an orphaned VM (recovery retries exhausted): destroys the
-  /// held workload, state becomes kLost. SLA windows stop accruing at the
-  /// crash — a lost VM has no further accounting.
-  void mark_lost(GlobalVmId vm);
-
-  // --- external-control hooks (called by ctl::ControlPlane events) ---
-
-  /// Administratively stops a running VM: its workload is swapped off the
-  /// host and held (like an orphan's, but on purpose), the slot's cap drops
-  /// to zero and its balance clears. No SLA accrues while stopped — the
-  /// stop was requested, not suffered. Returns false unless the VM is
-  /// kRunning and not in flight.
-  bool stop_vm(GlobalVmId vm);
-
-  /// Resumes a stopped VM on live host `to` (not necessarily where it
-  /// stopped): same re-attach contract as a recovery restart — compensated
-  /// purchased credit, empty balance — but with no SLA outage charge.
-  /// Powers `to` on. Returns false unless the VM is kStopped and `to` is
-  /// alive.
-  bool start_vm(GlobalVmId vm, HostId to);
+  /// Runs check(cmd) and, if it passes, the command's effect. The one way
+  /// the manager, the fault injector, the control plane, the federation's
+  /// same-shard paths and tests mutate a running cluster. Callable from
+  /// cluster events and between run_until calls. A refused command changes
+  /// nothing. Effects, per kind:
+  ///   migrate    — powers the destination on and starts a live migration.
+  ///   stop_vm    — swaps the workload off its host and holds it; cap and
+  ///                balance drop to zero. No SLA accrues while stopped —
+  ///                the stop was requested, not suffered.
+  ///   start_vm   — re-attaches a stopped VM on `host` (powered on) at its
+  ///                purchased credit compensated for the host's P-state,
+  ///                over an empty balance; no SLA outage charge.
+  ///   crash_host — first every migration with the host as an endpoint
+  ///                aborts (so destination-crash rollbacks land on a live
+  ///                source), then every running resident is torn off —
+  ///                held kOrphaned for recovery when `restart`, kLost
+  ///                otherwise — and the host powers off. A crashed host
+  ///                keeps following the clock (idle, energy-gated off).
+  ///   restart_vm — start_vm's re-attach for an orphan, with the outage
+  ///                [crash, now] SLA-charged as one fully violated window
+  ///                and a VmRecovery record.
+  ///   mark_lost  — destroys an orphan's held workload; state kLost.
+  ///   set_link_bandwidth — re-plans in-flight pre-copies (see
+  ///                MigrationEngine::set_link_bandwidth).
+  ///   abort_migration / abort_oldest_migration — MigrationEngine::cancel
+  ///                on the VM's flight / the longest-in-flight one.
+  ///   power on/off — VOVO: powering off excludes the host's energy from
+  ///                the cluster total; the host keeps following the clock,
+  ///                so power-on is instantaneous.
+  Outcome apply(const Command& cmd);
 
   /// Installs the external control plane (optional). Must precede the first
   /// run_until; the accepted task stream is armed onto the cluster event
@@ -308,19 +296,6 @@ class Cluster {
   /// exact (time, insertion-seq) positions ControlPlane::arm would give
   /// them. Must precede the first run_until.
   void schedule_at(common::SimTime at, std::function<void(common::SimTime)> fn);
-
-  /// Aborts the in-flight migration of `vm` (see MigrationEngine::cancel).
-  /// Returns false if none is in flight.
-  bool abort_migration(GlobalVmId vm);
-
-  /// Aborts the longest-in-flight migration — the deterministic choice the
-  /// fault injector makes. Returns false if nothing is in flight.
-  bool abort_oldest_migration();
-
-  /// Changes the migration-link bandwidth now, re-planning in-flight
-  /// pre-copies (see MigrationEngine::set_link_bandwidth).
-  void set_link_bandwidth(double mb_per_s);
-  [[nodiscard]] double link_bandwidth() const { return engine_->config().link_mb_per_s; }
 
   /// Installs the fault injector (optional). Must precede the first
   /// run_until; the injector's schedule is armed onto the cluster event
@@ -366,6 +341,7 @@ class Cluster {
   [[nodiscard]] hv::Host& host(HostId id) { return *hosts_.at(id); }
   [[nodiscard]] const hv::Host& host(HostId id) const { return *hosts_.at(id); }
   [[nodiscard]] const ClusterConfig& config() const { return cfg_; }
+  [[nodiscard]] double link_bandwidth() const { return engine_->config().link_mb_per_s; }
   /// The platform class host `id` was built from. Always populated: a
   /// uniform fleet synthesizes one class per host from the template, so
   /// planners can consume per-host classes without caring how the fleet
@@ -394,10 +370,6 @@ class Cluster {
       HostId host) const {
     return host_slots_.at(host);
   }
-  /// Bumped on every topology change: migration begin/done (any outcome),
-  /// crash, restart, loss, and actual power flips. A planner that saw
-  /// version v and converged can skip work until the version moves.
-  [[nodiscard]] std::uint64_t topology_version() const { return topology_version_; }
   /// Host currently responsible for the VM (the source until a migration's
   /// attach completes).
   [[nodiscard]] HostId residence(GlobalVmId vm) const { return home_.at(vm); }
@@ -476,6 +448,10 @@ class Cluster {
   std::unique_ptr<wl::Workload> drain(hv::Host& host, common::VmId slot);
   /// Puts a held guest (stopped or orphaned) back to work on `to`.
   void reattach(GlobalVmId vm, HostId to);
+  /// apply's crash_host effect (check() has passed).
+  void crash(HostId host, bool restart_orphans);
+  /// Flips the VOVO meter; every caller has checked the host may flip.
+  void power(HostId host, bool on);
 
   ClusterConfig cfg_;
   /// One class per host — cfg_.host_classes verbatim, or synthesized from
@@ -492,7 +468,6 @@ class Cluster {
   /// host id. Two views of the same lazy-slot relation.
   std::vector<std::vector<std::pair<GlobalVmId, common::VmId>>> host_slots_;
   std::vector<std::vector<std::pair<HostId, common::VmId>>> vm_slots_;
-  std::uint64_t topology_version_ = 0;
   std::vector<VmState> vm_state_;
   /// Workload of each kOrphaned or kStopped VM, held off-host until
   /// restart_vm / start_vm / mark_lost. held_since_ is the orphaning

@@ -90,12 +90,11 @@ bool ClusterManager::browned_out(common::SimTime now) const {
   return false;
 }
 
-ClusterManager::ExternalAdmission ClusterManager::admit_external_migration(
-    common::SimTime now) {
-  if (browned_out(now)) return ExternalAdmission::kBrownout;
-  if (migration_budget_left_ == 0) return ExternalAdmission::kNoBudget;
+Outcome ClusterManager::admit_external_migration(common::SimTime now) {
+  if (browned_out(now)) return {Status::kRejected, "planner brownout"};
+  if (migration_budget_left_ == 0) return {Status::kRejected, "migration budget exhausted"};
   --migration_budget_left_;
-  return ExternalAdmission::kAdmitted;
+  return {};
 }
 
 void ClusterManager::add_brownout(common::SimTime from, common::SimTime until) {
@@ -144,14 +143,14 @@ void ClusterManager::recover_orphans(common::SimTime now, Cluster& cluster) {
       }
     }
 
-    if (found && cluster.restart_vm(vm, target)) {
+    if (found && cluster.apply(Command::restart_vm(vm, target)).ok()) {
       ++restarts_issued_;
       retry_.erase(vm);
       continue;
     }
     ++retry.attempts;
     if (retry.attempts >= cfg_.max_restart_attempts) {
-      cluster.mark_lost(vm);
+      (void)cluster.apply(Command::mark_lost(vm));
       ++restarts_abandoned_;
       retry_.erase(vm);
     } else {
@@ -183,90 +182,66 @@ void ClusterManager::on_tick(common::SimTime now, Cluster& cluster) {
   recover_orphans(now, cluster);
 
   if (cfg_.consolidate) {
-    const bool can_skip = !cfg_.replan_every_tick && planning_ticks_ > 0 &&
-                          cluster.topology_version() == last_version_ && converged_;
-    if (can_skip) {
-      // Provably unchanged tick: no residency/power/lifecycle change since
-      // the last pass (the topology version is stable) and the last plan
-      // was fully worked off. The planner's inputs are static, so a
-      // re-plan would recompute the identical placement and the issuance
-      // loop would find every VM already on target — skipping the whole
-      // pass is observationally identical and O(1).
-      ++plans_skipped_;
+    const auto wall0 = std::chrono::steady_clock::now();
+    // Plan with FFD by memory with credit reservation, exactly the static
+    // §2.3 planner — what changed is that the "current placement" now
+    // disagrees with it, and the disagreement is worked off by live
+    // migrations. Placement is reservation-driven (memory + purchased
+    // credit, both static): SLAs must be honorable whatever the demand
+    // does, and static inputs keep the plan stable between ticks. Observed
+    // load enters below, in the DVFS step.
+    // Plan over the *live* fleet only: running VMs (orphaned/lost ones have
+    // no slot to pack) onto non-crashed hosts. Plan indices are therefore
+    // dense over the survivors — planned_ maps them back.
+    // Memo: the plan's inputs are static per id (VM configs are
+    // append-only, host classes fixed at construction), so an unchanged
+    // live set means place_ffd would return the stored plan again.
+    // replan_every_tick recomputes regardless — the reference the
+    // differential tests compare against.
+    LiveSet live = live_set(cluster);
+    if (cfg_.replan_every_tick || !has_plan() || live != planned_) {
+      std::vector<consolidation::VmSpec> vms;
+      vms.reserve(live.vms.size());
+      for (const GlobalVmId gid : live.vms) vms.push_back(plan_vm_spec(cluster, gid));
+      std::vector<consolidation::HostSpec> hosts;
+      hosts.reserve(live.hosts.size());
+      for (const HostId h : live.hosts) hosts.push_back(plan_host_spec(cluster, h));
+      plan_ = consolidation::place_ffd(vms, hosts, ffd_options(cfg_));
+      planned_ = std::move(live);
+      ++plan_stats_.full_rebuilds;
+      plan_stats_.vms_scanned += vms.size();
     } else {
-      const auto wall0 = std::chrono::steady_clock::now();
-      // Plan with FFD by memory with credit reservation, exactly the
-      // static §2.3 planner — what changed is that the "current placement"
-      // now disagrees with it, and the disagreement is worked off by live
-      // migrations. Placement is reservation-driven (memory + purchased
-      // credit, both static): SLAs must be honorable whatever the demand
-      // does, and static inputs keep the plan stable between ticks.
-      // Observed load enters below, in the DVFS step.
-      // Plan over the *live* fleet only: running VMs (orphaned/lost ones
-      // have no slot to pack) onto non-crashed hosts. Plan indices are
-      // therefore dense over the survivors — planned_ maps them back.
-      // Memo: the plan's inputs are static per id (VM configs are
-      // append-only, host classes fixed at construction), so an unchanged
-      // live set means place_ffd would return the stored plan again.
-      // replan_every_tick recomputes regardless — the reference the
-      // differential tests compare against.
-      LiveSet live = live_set(cluster);
-      if (cfg_.replan_every_tick || !has_plan() || live != planned_) {
-        std::vector<consolidation::VmSpec> vms;
-        vms.reserve(live.vms.size());
-        for (const GlobalVmId gid : live.vms) vms.push_back(plan_vm_spec(cluster, gid));
-        std::vector<consolidation::HostSpec> hosts;
-        hosts.reserve(live.hosts.size());
-        for (const HostId h : live.hosts) hosts.push_back(plan_host_spec(cluster, h));
-        plan_ = consolidation::place_ffd(vms, hosts, ffd_options(cfg_));
-        planned_ = std::move(live);
-        ++plan_stats_.full_rebuilds;
-        plan_stats_.vms_scanned += vms.size();
-      } else {
-        ++plan_stats_.cached_plans;
-      }
-      // Unplaced VMs are an explicit outcome: they stay where they are, and
-      // the count is surfaced so operators see unserved reservations.
-      last_plan_unplaced_ = plan_.unplaced;
-
-      std::size_t disagree = 0;
-      for (std::size_t i = 0; i < planned_.vms.size(); ++i) {
-        const GlobalVmId gid = planned_.vms[i];
-        const std::size_t target = plan_.assignment[i];
-        if (target == consolidation::kUnplaced) continue;
-        const HostId target_host = planned_.hosts[target];
-        if (target_host == cluster.residence(gid)) continue;
-        // Off-plan: issue within the budget, in plan order; the count
-        // feeds the convergence flag the early-out needs.
-        ++disagree;
-        if (migration_budget_left_ == 0) continue;
-        if (cluster.migrating(gid)) continue;
-        if (cluster.migrate(gid, target_host)) {
-          ++migrations_issued_;
-          --migration_budget_left_;
-        }
-      }
-      // Converged = the fleet already matched the plan before this pass
-      // issued anything. Recording the version AFTER issuance means our
-      // own migrations don't force a re-plan — their completions bump the
-      // version again and do.
-      converged_ = disagree == 0;
-      last_version_ = cluster.topology_version();
-      ++planning_ticks_;
-      planner_ns_ += static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - wall0)
-              .count());
+      ++plan_stats_.cached_plans;
     }
+    // Unplaced VMs are an explicit outcome: they stay where they are, and
+    // the count is surfaced so operators see unserved reservations.
+    last_plan_unplaced_ = plan_.unplaced;
+
+    // Off-plan VMs migrate within the budget, in plan order. A refusal
+    // (the VM is already in flight, or a federation flight owns it) costs
+    // no budget.
+    for (std::size_t i = 0; i < planned_.vms.size() && migration_budget_left_ > 0; ++i) {
+      const GlobalVmId gid = planned_.vms[i];
+      const std::size_t target = plan_.assignment[i];
+      if (target == consolidation::kUnplaced) continue;
+      const HostId target_host = planned_.hosts[target];
+      if (target_host == cluster.residence(gid)) continue;
+      if (cluster.apply(Command::migrate(gid, target_host)).ok()) {
+        ++migrations_issued_;
+        --migration_budget_left_;
+      }
+    }
+    ++planning_ticks_;
+    planner_ns_ += static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - wall0)
+            .count());
   }
 
   if (cfg_.vovo) {
     for (HostId h = 0; h < cluster.host_count(); ++h) {
       if (cluster.crashed(h)) continue;  // already off, and not revivable
-      if (cluster.host_in_use(h))
-        cluster.set_powered(h, true);
-      else
-        cluster.set_powered(h, false);
+      (void)cluster.apply(Command::power(h, cluster.host_in_use(h)));
     }
   }
 

@@ -27,12 +27,11 @@
 // that Placement verbatim (a memo hit), and any other tick re-runs
 // place_ffd from scratch (a miss). The key is the id lists themselves, not
 // a version counter, so no mutation site has to remember to invalidate it.
-// On ticks where nothing changed at all — the topology version is stable
-// and the fleet already matches the plan — the consolidation pass is
-// skipped outright (plans_skipped()); VOVO and DVFS still run, as they
-// track live load. replan_every_tick bypasses both the skip and the memo:
-// it is the from-scratch reference the differential tests and the scale
-// bench compare the default against.
+// replan_every_tick bypasses the memo: it is the from-scratch reference
+// the differential tests and the scale bench compare the default against.
+//
+// Every change the manager makes — migrations, recovery restarts,
+// abandonments, VOVO power flips — goes through Cluster::apply.
 #pragma once
 
 #include <cstddef>
@@ -98,10 +97,9 @@ struct ClusterManagerConfig {
   /// granularity (a retry due mid-period waits for the next tick).
   std::size_t max_restart_attempts = 5;
   common::SimTime restart_backoff = common::seconds(20);
-  /// Reference mode: run the full consolidation pass with a from-scratch
-  /// place_ffd on every tick, bypassing both the unchanged-tick early-out
-  /// and the live-set memo — the oracle the differential tests and the
-  /// scale bench compare the default against.
+  /// Reference mode: run the consolidation pass with a from-scratch
+  /// place_ffd on every tick, bypassing the live-set memo — the oracle the
+  /// differential tests and the scale bench compare the default against.
   bool replan_every_tick = false;
 };
 
@@ -122,19 +120,14 @@ class ClusterManager {
   /// time (the fault injector calls it at arm time).
   void add_brownout(common::SimTime from, common::SimTime until);
 
-  // --- external control (the ctl::ControlPlane's policy gate) ---
-  enum class ExternalAdmission : std::uint8_t {
-    kAdmitted = 0,
-    kBrownout,  // the planner is browned out at `now`; nothing may migrate
-    kNoBudget,  // this period's migration budget is already spent
-  };
-
-  /// Admission control for an externally-commanded migration: external
-  /// commands obey the same rules as planner decisions — browned-out
-  /// periods issue nothing, and planner + operator share ONE
-  /// max_migrations_per_tick budget per period (kAdmitted decrements it,
-  /// so an admitted command must be followed by the migrate call).
-  [[nodiscard]] ExternalAdmission admit_external_migration(common::SimTime now);
+  /// Admission control for an externally-commanded migration (the
+  /// ctl::ControlPlane's policy gate, asked after Cluster::check passed):
+  /// external commands obey the same rules as planner decisions. A
+  /// browned-out period issues nothing ("planner brownout"), and planner +
+  /// operator share ONE max_migrations_per_tick budget per period
+  /// ("migration budget exhausted"). kOk decrements the budget, so an
+  /// admitted command must be followed by its Cluster::apply.
+  [[nodiscard]] Outcome admit_external_migration(common::SimTime now);
 
   // --- diagnostics ---
   [[nodiscard]] std::size_t ticks() const { return ticks_; }
@@ -147,11 +140,12 @@ class ClusterManager {
   /// VMs the *last* plan could not place (left resident where they were —
   /// the explicit-unplaced contract of consolidation::place_ffd).
   [[nodiscard]] std::size_t last_plan_unplaced() const { return last_plan_unplaced_; }
-  /// Consolidation passes skipped by the unchanged-tick early-out.
-  [[nodiscard]] std::size_t plans_skipped() const { return plans_skipped_; }
-  /// Ticks that actually ran the consolidation pass, and the total wall
-  /// time they spent in it (live-set scan + plan + issuance) — the scale
-  /// bench's planner-ns-per-tick gate divides these.
+  /// Always 0: there is no unchanged-tick early-out. Kept only for
+  /// existing readers of the counter set, like PlanStats::delta_plans.
+  [[nodiscard]] std::size_t plans_skipped() const { return 0; }
+  /// Ticks that ran the consolidation pass, and the total wall time they
+  /// spent in it (live-set scan + plan + issuance) — the scale bench's
+  /// planner-ns-per-tick gate divides these.
   [[nodiscard]] std::size_t planning_ticks() const { return planning_ticks_; }
   [[nodiscard]] std::uint64_t planner_ns() const { return planner_ns_; }
   /// Memo hits and misses of the consolidation passes that ran.
@@ -188,13 +182,10 @@ class ClusterManager {
   std::size_t restarts_abandoned_ = 0;
   std::size_t last_plan_unplaced_ = 0;
 
-  // Planning state: the memo (live set + its plan) and the early-out.
+  // Planning state: the memo (live set + its plan).
   LiveSet planned_;
   consolidation::Placement plan_;
   PlanStats plan_stats_;
-  std::uint64_t last_version_ = 0;
-  bool converged_ = false;
-  std::size_t plans_skipped_ = 0;
   std::size_t planning_ticks_ = 0;
   std::uint64_t planner_ns_ = 0;
 };

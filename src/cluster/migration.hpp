@@ -51,6 +51,7 @@
 #include <memory>
 #include <vector>
 
+#include "cluster/command.hpp"
 #include "cluster/hypervisor_agent.hpp"
 #include "common/ids.hpp"
 #include "common/units.hpp"
@@ -58,11 +59,6 @@
 #include "sim/event_queue.hpp"
 
 namespace pas::cluster {
-
-/// Index of a host within the cluster.
-using HostId = std::uint32_t;
-/// Cluster-wide VM index (its slot on every host is kFirstGuestSlot + id).
-using GlobalVmId = std::uint32_t;
 
 struct MigrationConfig {
   /// Effective migration-link bandwidth (a dedicated 10 GbE does ~1 GB/s).

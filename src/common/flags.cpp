@@ -1,8 +1,8 @@
 #include "common/flags.hpp"
 
 #include <cerrno>
+#include <cstdio>
 #include <cstdlib>
-#include <stdexcept>
 #include <string_view>
 
 namespace pas::common {
@@ -12,7 +12,9 @@ namespace {
 /// the offending flag spelled back verbatim, then what was wrong with it.
 [[noreturn]] void fail(const std::string& key, const std::string& value,
                        const std::string& what) {
-  throw std::runtime_error("--" + key + "=" + value + ": " + what);
+  std::string message = "--";
+  message.append(key).append("=").append(value).append(": ").append(what);
+  throw UsageError(message);
 }
 
 }  // namespace
@@ -78,6 +80,24 @@ std::size_t Flags::get_count(const std::string& key, std::size_t def) const {
   const long parsed = get_int(key, 0);
   if (parsed < 0) fail(key, *v, "expected a non-negative count");
   return static_cast<std::size_t>(parsed);
+}
+
+int run_main(int argc, const char* const* argv, const std::function<int(const Flags&)>& body) {
+  const auto report = [&](int code, const char* what) {
+    std::string_view program = argc > 0 ? argv[0] : "pas";
+    program.remove_prefix(program.find_last_of('/') + 1);  // npos + 1 == 0
+    std::fprintf(stderr, "%.*s: %s\n", static_cast<int>(program.size()), program.data(), what);
+    return code;
+  };
+  try {
+    return body(Flags{argc, argv});
+  } catch (const UsageError& err) {
+    return report(2, err.what());
+  } catch (const std::exception& err) {
+    return report(1, err.what());
+  } catch (...) {
+    return report(1, "unknown exception");
+  }
 }
 
 }  // namespace pas::common

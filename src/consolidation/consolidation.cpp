@@ -163,7 +163,7 @@ std::vector<HostSpec> fleet_from_classes(std::size_t count,
   fleet.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     HostSpec h = classes[i % classes.size()];
-    h.name += "-" + std::to_string(i);
+    h.name.append("-").append(std::to_string(i));
     fleet.push_back(std::move(h));
   }
   return fleet;

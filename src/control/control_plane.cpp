@@ -45,117 +45,22 @@ std::size_t ControlPlane::count(TaskStatus status) const {
 }
 
 void ControlPlane::apply(const Task& task, common::SimTime now) {
-  using cluster::VmState;
-  TaskResult result;
-  result.id = task.id;
-  result.at = now;
-  result.kind = task.kind;
-  result.status = TaskStatus::kOk;
-
-  const auto reject = [&](std::string reason) {
-    result.status = TaskStatus::kRejected;
-    result.reason = std::move(reason);
-  };
-  const auto supersede = [&](std::string reason) {
-    result.status = TaskStatus::kSuperseded;
-    result.reason = std::move(reason);
-  };
-  const auto vm_tag = [&] { return "vm " + std::to_string(task.vm); };
-  const auto host_tag = [&] { return "host " + std::to_string(task.host); };
-
-  switch (task.kind) {
-    case TaskKind::kMigrate: {
-      const VmState state = cluster_->vm_state(task.vm);
-      if (state == VmState::kLost) {
-        supersede(vm_tag() + " lost");
-      } else if (state == VmState::kOrphaned) {
-        supersede(vm_tag() + " orphaned by a crash");
-      } else if (state == VmState::kStopped) {
-        reject(vm_tag() + " is stopped");
-      } else if (cluster_->crashed(task.host)) {
-        supersede(host_tag() + " crashed");
-      } else if (cluster_->residence(task.vm) == task.host) {
-        reject(vm_tag() + " already resident on " + host_tag());
-      } else if (cluster_->migrating(task.vm)) {
-        reject(vm_tag() + " already in flight");
-      } else {
-        // External migrations obey the same policy as planner-issued ones:
-        // browned-out periods issue nothing, and the per-tick budget is
-        // shared — an operator cannot out-migrate the reshuffle bound.
-        cluster::ClusterManager* mgr = cluster_->manager();
-        using Admission = cluster::ClusterManager::ExternalAdmission;
-        const Admission admission =
-            mgr ? mgr->admit_external_migration(now) : Admission::kAdmitted;
-        if (admission == Admission::kBrownout) {
-          reject("planner brownout");
-        } else if (admission == Admission::kNoBudget) {
-          reject("migration budget exhausted");
-        } else if (!cluster_->migrate(task.vm, task.host)) {
-          reject("migration refused");  // unreachable given the checks above
-        }
-      }
-      break;
-    }
-    case TaskKind::kStopVm: {
-      const VmState state = cluster_->vm_state(task.vm);
-      if (state == VmState::kLost) {
-        supersede(vm_tag() + " lost");
-      } else if (state == VmState::kOrphaned) {
-        supersede(vm_tag() + " orphaned by a crash");
-      } else if (state == VmState::kStopped) {
-        reject(vm_tag() + " already stopped");
-      } else if (cluster_->migrating(task.vm)) {
-        reject(vm_tag() + " in flight");
-      } else if (!cluster_->stop_vm(task.vm)) {
-        reject("stop refused");  // unreachable given the checks above
-      }
-      break;
-    }
-    case TaskKind::kStartVm: {
-      const VmState state = cluster_->vm_state(task.vm);
-      if (state == VmState::kLost) {
-        supersede(vm_tag() + " lost");
-      } else if (state == VmState::kOrphaned) {
-        supersede(vm_tag() + " orphaned by a crash");
-      } else if (state == VmState::kRunning) {
-        reject(vm_tag() + " already running");
-      } else if (cluster_->crashed(task.host)) {
-        supersede(host_tag() + " crashed");
-      } else if (!cluster_->start_vm(task.vm, task.host)) {
-        reject("start refused");  // unreachable given the checks above
-      }
-      break;
-    }
-    case TaskKind::kCrashHost: {
-      if (cluster_->crashed(task.host)) {
-        supersede(host_tag() + " already crashed");
-      } else if (!cluster_->crash_host(task.host, task.restart)) {
-        reject(host_tag() + " is the last live host");
-      }
-      break;
-    }
-    case TaskKind::kRestartVm: {
-      const VmState state = cluster_->vm_state(task.vm);
-      if (state == VmState::kLost) {
-        supersede(vm_tag() + " lost");
-      } else if (state != VmState::kOrphaned) {
-        reject(vm_tag() + " not orphaned");
-      } else if (cluster_->crashed(task.host)) {
-        supersede(host_tag() + " crashed");
-      } else if (!cluster_->restart_vm(task.vm, task.host)) {
-        reject("restart refused");  // unreachable given the checks above
-      }
-      break;
-    }
-    case TaskKind::kSetLinkBandwidth:
-      cluster_->set_link_bandwidth(task.mb_per_s);
-      break;
-    case TaskKind::kAnnotate:
-      result.note = task.note;
-      break;
+  const bool annotate = task.kind == TaskKind::kAnnotate;
+  cluster::Outcome out;
+  if (!annotate) {
+    // Cluster::check decides every refusal; a migrate that passes must
+    // also win the manager's admission — an operator cannot out-migrate
+    // the planner's per-tick reshuffle bound.
+    const cluster::Command cmd{static_cast<cluster::CommandKind>(task.kind), task.vm, task.host,
+                               task.restart, task.mb_per_s};
+    out = cluster_->check(cmd);
+    cluster::ClusterManager* mgr = cluster_->manager();
+    if (out.ok() && cmd.kind == cluster::CommandKind::kMigrate && mgr != nullptr)
+      out = mgr->admit_external_migration(now);
+    if (out.ok()) out = cluster_->apply(cmd);
   }
-
-  results_.push_back(std::move(result));
+  results_.push_back(TaskResult{task.id, now, task.kind, out.status, std::move(out.reason),
+                                annotate ? task.note : std::string{}});
 }
 
 }  // namespace pas::ctl

@@ -10,25 +10,13 @@
 // the result log — which only depends on cluster state at those fixed
 // instants — serializes byte-identically too.
 //
-// Execution semantics at fire time, per kind (reasons are published in the
-// result log; see task.hpp for TaskStatus):
-//   migrate            — superseded if the VM is orphaned/lost or the
-//                        destination crashed; rejected if the VM is stopped,
-//                        already resident, already in flight, the manager is
-//                        browned out, or the period's migration budget is
-//                        exhausted (external commands draw from the SAME
-//                        per-tick budget as planner-issued migrations —
-//                        ClusterManager::admit_external_migration).
-//   stop_vm / start_vm — administrative lifecycle: stop holds the workload
-//                        off-host (no SLA accrual — the customer asked),
-//                        start resumes it on a live host.
-//   crash_host         — drill traffic; superseded if already crashed,
-//                        rejected on the last live host.
-//   restart_vm         — an external recovery decision for an orphaned VM;
-//                        superseded if the VM was never orphaned (lost, or
-//                        the manager's own recovery won the race).
-//   set_link_bandwidth — applied unconditionally (validated at parse).
-//   annotate           — no-op; the note passes through to the result log.
+// At fire time a task is one cluster::Command: Cluster::check gives the
+// verdict (status + reason, the one refusal ladder — tabulated per kind in
+// docs/ARCHITECTURE.md, "The command surface"); a migrate that passes must
+// also be admitted by the manager (browned-out periods issue nothing, and
+// external commands draw from the SAME per-tick budget as the planner —
+// ClusterManager::admit_external_migration); then Cluster::apply acts.
+// annotate is not a command: its note passes through to the result log.
 //
 // A crash that fires at the same instant as a command sorts FIRST: the
 // fault injector arms before the control plane (Cluster::run_until), so its

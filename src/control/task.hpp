@@ -41,18 +41,28 @@
 #include <string_view>
 #include <vector>
 
+#include "cluster/command.hpp"
 #include "common/units.hpp"
 
 namespace pas::ctl {
 
+/// Every kind but annotate is the cluster command of the same name, with
+/// the same value: a task's command kind is a cast away.
 enum class TaskKind : std::uint8_t {
-  kStartVm = 0,          // resume a stopped VM on a host
-  kStopVm,               // administratively stop a running VM (workload held)
-  kMigrate,              // live-migrate a running VM
-  kCrashHost,            // fail a host (what-if / drill traffic)
-  kRestartVm,            // place an orphaned VM (external recovery decision)
-  kSetLinkBandwidth,     // change the migration link's bandwidth
-  kAnnotate,             // no-op marker; carried through to the result log
+  // resume a stopped VM on a host
+  kStartVm = static_cast<std::uint8_t>(cluster::CommandKind::kStartVm),
+  // administratively stop a running VM (workload held)
+  kStopVm = static_cast<std::uint8_t>(cluster::CommandKind::kStopVm),
+  // live-migrate a running VM
+  kMigrate = static_cast<std::uint8_t>(cluster::CommandKind::kMigrate),
+  // fail a host (what-if / drill traffic)
+  kCrashHost = static_cast<std::uint8_t>(cluster::CommandKind::kCrashHost),
+  // place an orphaned VM (external recovery decision)
+  kRestartVm = static_cast<std::uint8_t>(cluster::CommandKind::kRestartVm),
+  // change the migration link's bandwidth
+  kSetLinkBandwidth = static_cast<std::uint8_t>(cluster::CommandKind::kSetLinkBandwidth),
+  // no-op marker; carried through to the result log, never a command
+  kAnnotate = 0xff,
 };
 
 [[nodiscard]] const char* to_string(TaskKind kind);
@@ -82,15 +92,10 @@ struct FleetDims {
                                             const std::string& origin,
                                             FleetDims dims = {});
 
-enum class TaskStatus : std::uint8_t {
-  kOk = 0,
-  /// The command was invalid against cluster state or policy at fire time
-  /// (VM in flight, no migration budget, brownout, already resident, ...).
-  kRejected,
-  /// The command's target no longer exists in the required state — a crash
-  /// got there first (dead host, orphaned or lost VM).
-  kSuperseded,
-};
+/// A fired task's status is the cluster's own verdict (cluster::Status):
+/// kOk, kRejected (invalid against cluster state or policy at fire time)
+/// or kSuperseded (a crash or hand-off got there first).
+using TaskStatus = cluster::Status;
 
 [[nodiscard]] const char* to_string(TaskStatus status);
 

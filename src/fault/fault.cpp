@@ -109,22 +109,22 @@ void FaultInjector::arm(cluster::Cluster& cluster, sim::EventQueue& events) {
       case FaultKind::kHostCrash:
         events.schedule(ev.at, [this, c, host = ev.host,
                                 restart = ev.restart](common::SimTime) {
-          if (c->crash_host(host, restart)) ++crashes_fired_;
+          if (c->apply(cluster::Command::crash_host(host, restart)).ok()) ++crashes_fired_;
         });
         break;
       case FaultKind::kMigrationAbort:
         events.schedule(ev.at, [this, c](common::SimTime) {
-          if (c->abort_oldest_migration()) ++aborts_fired_;
+          if (c->apply(cluster::Command::abort_oldest_migration()).ok()) ++aborts_fired_;
         });
         break;
       case FaultKind::kLinkDegrade:
         events.schedule(ev.at, [this, c, bw = base_bw * ev.bandwidth_factor](
                                    common::SimTime) {
-          c->set_link_bandwidth(bw);
+          (void)c->apply(cluster::Command::set_link_bandwidth(bw));
           ++link_degrades_fired_;
         });
         events.schedule(ev.until, [c, base_bw](common::SimTime) {
-          c->set_link_bandwidth(base_bw);
+          (void)c->apply(cluster::Command::set_link_bandwidth(base_bw));
         });
         break;
       case FaultKind::kBrownout:

@@ -23,10 +23,10 @@
 // What each fault does when it fires (the cluster-side semantics live in
 // Cluster / MigrationEngine / ClusterManager; see docs/ARCHITECTURE.md
 // "Faults & recovery"):
-//   kHostCrash      — Cluster::crash_host: in-flight migrations touching
+//   kHostCrash      — a crash_host command: in-flight migrations touching
 //                     the host abort first, residents orphan (manager
 //                     recovery with bounded retry/backoff) or die.
-//   kMigrationAbort — Cluster::abort_oldest_migration: the longest-
+//   kMigrationAbort — an abort_oldest_migration command: the longest-
 //                     in-flight migration cancels (pre-copy abandon or
 //                     stop-and-copy rollback, whichever phase it is in).
 //                     A no-op if nothing is in flight at that instant.

@@ -107,7 +107,7 @@ bool Federation::migrate(ShardId from_shard, cluster::GlobalVmId vm, ShardId to_
   cluster::Cluster& src = *shards_[from_shard];
   if (vm >= src.vm_count()) throw std::invalid_argument("Federation: bad VM id");
   // Same shard: the intra-rack tier, i.e. the shard's own engine.
-  if (from_shard == to_shard) return src.migrate(vm, to_host);
+  if (from_shard == to_shard) return src.apply(cluster::Command::migrate(vm, to_host)).ok();
 
   cluster::Cluster& dst = *shards_[to_shard];
   if (to_host >= dst.host_count())
@@ -178,7 +178,7 @@ void Federation::set_link_bandwidth(ShardId a, ShardId b, double mb_per_s) {
   if (a >= shards_.size() || b >= shards_.size())
     throw std::invalid_argument("Federation: bad shard id");
   if (a == b) {  // the shard's internal (intra-rack) link
-    shards_[a]->set_link_bandwidth(mb_per_s);
+    (void)shards_[a]->apply(cluster::Command::set_link_bandwidth(mb_per_s));
     return;
   }
   Link& link = link_between(a, b);

@@ -119,7 +119,7 @@ class Federation {
 
   /// Starts a cross-shard live migration of `vm` (source-shard id) onto
   /// `to_host` in `to_shard`, over the pair's link. Same-shard calls
-  /// delegate to the shard's own migrate (the intra-rack tier). Returns
+  /// apply the shard's own migrate command (the intra-rack tier). Returns
   /// false if the VM is not running, already in flight (either tier), or
   /// the destination is crashed. Callable from planner ticks and between
   /// run_until calls.
@@ -127,7 +127,7 @@ class Federation {
                cluster::HostId to_host);
 
   /// Re-prices one link at runtime. a == b sets shard a's INTERNAL link
-  /// (Cluster::set_link_bandwidth); a != b sets the pair's federation link,
+  /// (a set_link_bandwidth command); a != b sets the pair's federation link,
   /// re-planning that link's in-flight pre-copies and no other link's —
   /// the per-link isolation the link tests pin.
   void set_link_bandwidth(ShardId a, ShardId b, double mb_per_s);

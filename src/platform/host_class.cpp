@@ -85,7 +85,7 @@ std::vector<consolidation::HostSpec> fleet_specs(const std::vector<HostClass>& p
   specs.reserve(per_host.size());
   for (std::size_t i = 0; i < per_host.size(); ++i) {
     consolidation::HostSpec spec = to_host_spec(per_host[i]);
-    spec.name += "-" + std::to_string(i);
+    spec.name.append("-").append(std::to_string(i));
     specs.push_back(std::move(spec));
   }
   return specs;

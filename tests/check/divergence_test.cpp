@@ -93,7 +93,8 @@ TEST(DivergenceTest, ExtraMigrationIsNamed) {
   ASSERT_EQ(first_divergence(*a, *b), "");
   // One extra live migration on `b` only: VM 0 to the first host it may go.
   bool moved = false;
-  for (cluster::HostId to = 0; to < b->host_count() && !moved; ++to) moved = b->migrate(0, to);
+  for (cluster::HostId to = 0; to < b->host_count() && !moved; ++to)
+    moved = b->apply(cluster::Command::migrate(0, to)).ok();
   ASSERT_TRUE(moved);
   a->run_until(seconds(60));
   b->run_until(seconds(60));

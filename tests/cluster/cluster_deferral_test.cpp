@@ -87,7 +87,8 @@ std::unique_ptr<Cluster> build(Poke poke, bool fast_path, std::size_t threads) {
   switch (poke) {
     case Poke::kMigration:
       // The busy guest lands on host 2 after ~30 s of lag there.
-      cp->schedule_at(seconds(30), [cp](SimTime) { EXPECT_TRUE(cp->migrate(0, 2)); });
+      cp->schedule_at(seconds(30),
+                      [cp](SimTime) { EXPECT_TRUE(cp->apply(Command::migrate(0, 2)).ok()); });
       break;
     case Poke::kCrash: {
       fault::FaultPlan plan;
@@ -100,8 +101,8 @@ std::unique_ptr<Cluster> build(Poke poke, bool fast_path, std::size_t threads) {
       c->install_faults(std::make_unique<fault::FaultInjector>(plan));
       // Recovery onto host 3, itself still lagging at 45 s.
       cp->schedule_at(seconds(45), [cp](SimTime) {
-        EXPECT_TRUE(cp->restart_vm(2, 3));
-        EXPECT_TRUE(cp->restart_vm(3, 4));
+        EXPECT_TRUE(cp->apply(Command::restart_vm(2, 3)).ok());
+        EXPECT_TRUE(cp->apply(Command::restart_vm(3, 4)).ok());
       });
       break;
     }
@@ -124,12 +125,14 @@ std::unique_ptr<Cluster> build(Poke poke, bool fast_path, std::size_t threads) {
       break;
     }
     case Poke::kHook:
-      cp->schedule_at(seconds(12), [cp](SimTime) { EXPECT_TRUE(cp->set_powered(4, false)); });
+      cp->schedule_at(seconds(12),
+                      [cp](SimTime) { EXPECT_TRUE(cp->apply(Command::power(4, false)).ok()); });
       cp->schedule_at(msec(27'300), [cp](SimTime) {
         cp->host(2).scheduler().set_cap(2, 7.0);
         cp->host(2).notify_workload_changed(2);
       });
-      cp->schedule_at(seconds(37), [cp](SimTime) { EXPECT_TRUE(cp->set_powered(4, true)); });
+      cp->schedule_at(seconds(37),
+                      [cp](SimTime) { EXPECT_TRUE(cp->apply(Command::power(4, true)).ok()); });
       break;
   }
   return c;

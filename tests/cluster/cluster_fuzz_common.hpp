@@ -285,7 +285,7 @@ inline std::unique_ptr<Cluster> build_cluster(const ScenarioSpec& s, bool fast_p
 inline void run_spec(Cluster& cluster, const ScenarioSpec& s) {
   for (const ScriptedMove& mv : s.script) {
     cluster.run_until(mv.at);
-    (void)cluster.migrate(mv.vm, mv.to);  // may be refused; identically so
+    (void)cluster.apply(Command::migrate(mv.vm, mv.to));  // may be refused; identically so
   }
   cluster.run_until(s.horizon);
 }

@@ -138,7 +138,7 @@ HostId restart_target(bool efficient_first) {
   cluster.install_manager(std::make_unique<ClusterManager>(mc));
 
   cluster.run_until(common::seconds(2));
-  EXPECT_TRUE(cluster.crash_host(0, /*restart_orphans=*/true));
+  EXPECT_TRUE(cluster.apply(Command::crash_host(0, /*restart_orphans=*/true)).ok());
   cluster.run_until(common::seconds(5));
   EXPECT_EQ(cluster.recoveries().size(), 1u);
   EXPECT_EQ(cluster.vm_state(vm), VmState::kRunning);

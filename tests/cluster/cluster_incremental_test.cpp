@@ -1,5 +1,5 @@
-// Regression suite for memoized planning: the live-set memo plus the
-// unchanged-tick early-out must be pure optimizations — every cluster
+// Regression suite for memoized planning: the live-set memo must be a
+// pure optimization — every cluster
 // observable (migration records, traces, SLA counters, energy)
 // byte-identical to the replan_every_tick reference, which runs a
 // from-scratch place_ffd on every tick — while the memo counters prove
@@ -27,7 +27,6 @@ using fuzz::ScenarioSpec;
 
 TEST(ClusterIncrementalTest, MemoMatchesReplanEveryTickAcrossFuzzSeeds) {
   std::size_t total_migrations = 0;
-  std::size_t total_skipped = 0;
   std::size_t total_hits = 0;
   for (std::uint64_t seed = 1; seed <= 25; ++seed) {
     ScenarioSpec s = draw_scenario(seed, /*hetero=*/seed % 2 == 0);
@@ -49,25 +48,22 @@ TEST(ClusterIncrementalTest, MemoMatchesReplanEveryTickAcrossFuzzSeeds) {
     if (::testing::Test::HasFatalFailure()) return;
 
     total_migrations += a->manager()->migrations_issued();
-    total_skipped += a->manager()->plans_skipped();
     total_hits += a->manager()->book_stats().cached_plans;
     // The reference plans from scratch on every tick by definition.
     const ClusterManager& ref = *b->manager();
-    EXPECT_EQ(ref.plans_skipped(), 0u) << "seed " << seed;
     EXPECT_EQ(ref.book_stats().cached_plans, 0u) << "seed " << seed;
     EXPECT_EQ(ref.book_stats().full_rebuilds, ref.planning_ticks()) << "seed " << seed;
   }
-  // Vacuity guards: the sweep exercised real consolidation, and both the
-  // early-out and the memo earned their keep somewhere.
+  // Vacuity guards: the sweep exercised real consolidation, and the memo
+  // earned its keep somewhere.
   EXPECT_GT(total_migrations, 10u);
-  EXPECT_GT(total_skipped, 0u);
   EXPECT_GT(total_hits, 0u);
 }
 
-TEST(ClusterIncrementalTest, UnchangedTicksSkipThePlannerAndChangeNothing) {
+TEST(ClusterIncrementalTest, UnchangedTicksReuseThePlanAndChangeNothing) {
   // Regression for the per-tick full replan: once the fleet matches the
-  // plan and nothing moves, consolidation passes must be skipped outright
-  // — and skipping must be invisible in every observable. The
+  // plan and nothing moves, consolidation passes must reuse the stored
+  // plan — and reusing it must be invisible in every observable. The
   // replan_every_tick reference is the control group.
   ScenarioSpec s = draw_scenario(11);
   s.use_manager = true;
@@ -77,20 +73,17 @@ TEST(ClusterIncrementalTest, UnchangedTicksSkipThePlannerAndChangeNothing) {
   ScenarioSpec dbg = s;
   dbg.mgr.replan_every_tick = true;
 
-  auto skipping = build_cluster(s, /*fast_path=*/true);
-  run_spec(*skipping, s);
+  auto memo = build_cluster(s, /*fast_path=*/true);
+  run_spec(*memo, s);
   auto replanning = build_cluster(dbg, /*fast_path=*/true);
   run_spec(*replanning, dbg);
 
-  expect_identical(*skipping, *replanning, 11, "early-out vs replan-every-tick");
-  const ClusterManager& m = *skipping->manager();
-  EXPECT_GT(m.plans_skipped(), 0u);
-  EXPECT_EQ(replanning->manager()->plans_skipped(), 0u);
-  // Skipped + planned covers exactly the ticks the control group planned.
-  EXPECT_EQ(m.plans_skipped() + m.planning_ticks(),
-            replanning->manager()->planning_ticks());
-  // The early-out is strictly cheaper, not just equal.
-  EXPECT_LT(m.planning_ticks(), replanning->manager()->planning_ticks());
+  expect_identical(*memo, *replanning, 11, "memo vs replan-every-tick");
+  const ClusterManager& m = *memo->manager();
+  EXPECT_EQ(m.planning_ticks(), replanning->manager()->planning_ticks());
+  // The memo is strictly cheaper, not just equal: most passes reuse.
+  EXPECT_GT(m.book_stats().cached_plans, 0u);
+  EXPECT_LT(m.book_stats().full_rebuilds, replanning->manager()->book_stats().full_rebuilds);
   // Every pass that ran was either a memo hit or a miss.
   EXPECT_EQ(m.book_stats().cached_plans + m.book_stats().full_rebuilds, m.planning_ticks());
   EXPECT_EQ(m.book_stats().delta_plans, 0u);
@@ -143,7 +136,7 @@ TEST(ClusterIncrementalTest, CrashAndRestartEachForceExactlyOneMiss) {
 
   memo->run_until(seconds(7));
   ASSERT_EQ(st.full_rebuilds, 1u) << "the first plan is a miss";
-  ASSERT_TRUE(memo->crash_host(0, /*restart_orphans=*/true));
+  ASSERT_TRUE(memo->apply(Command::crash_host(0, /*restart_orphans=*/true)).ok());
   memo->run_until(seconds(10));
   EXPECT_EQ(st.full_rebuilds, 2u) << "the crash forces one miss at tick 10";
   EXPECT_TRUE(memo->recoveries().empty()) << "the first restart attempt must fail";
@@ -155,14 +148,12 @@ TEST(ClusterIncrementalTest, CrashAndRestartEachForceExactlyOneMiss) {
   const std::size_t hits_at_restart = st.cached_plans;
   memo->run_until(seconds(60));
   // The quiet tail only moves residency (the restart's consolidation
-  // migrations): their completions force planning passes, all of them
-  // memo hits, and then the early-out takes over.
+  // migrations): every planning pass in it is a memo hit.
   EXPECT_EQ(st.full_rebuilds, 3u);
   EXPECT_GT(st.cached_plans, hits_at_restart);
-  EXPECT_GT(memo->manager()->plans_skipped(), 0u);
 
   replan->run_until(seconds(7));
-  ASSERT_TRUE(replan->crash_host(0, /*restart_orphans=*/true));
+  ASSERT_TRUE(replan->apply(Command::crash_host(0, /*restart_orphans=*/true)).ok());
   replan->run_until(seconds(60));
   expect_identical(*memo, *replan, 0, "crash recovery: memo vs replan every tick");
 }
@@ -187,20 +178,20 @@ TEST(ClusterIncrementalTest, ResidencyChurnHitsAndStopStartEachMiss) {
   EXPECT_GT(st.cached_plans, 0u) << "the plan's own migrations re-plan as hits";
 
   // An operator migration moves residency only: the next pass must run
-  // (the topology version moved) and reuse the plan.
+  // and reuse the plan.
   const std::size_t ticks_before = m.planning_ticks();
   const std::size_t hits_before = st.cached_plans;
-  step([](Cluster& c) { ASSERT_TRUE(c.migrate(1, 2)); }, 35);
+  step([](Cluster& c) { ASSERT_TRUE(c.apply(Command::migrate(1, 2)).ok()); }, 35);
   EXPECT_GT(m.planning_ticks(), ticks_before);
   EXPECT_GT(st.cached_plans, hits_before);
   EXPECT_EQ(st.full_rebuilds, 1u);
 
   step([](Cluster&) {}, 60);  // let the manager undo the detour
-  step([](Cluster& c) { ASSERT_TRUE(c.stop_vm(2)); }, 65);
+  step([](Cluster& c) { ASSERT_TRUE(c.apply(Command::stop_vm(2)).ok()); }, 65);
   EXPECT_EQ(st.full_rebuilds, 2u) << "a stop forces exactly one miss";
   step([](Cluster&) {}, 80);
   EXPECT_EQ(st.full_rebuilds, 2u);
-  step([](Cluster& c) { ASSERT_TRUE(c.start_vm(2, 2)); }, 85);
+  step([](Cluster& c) { ASSERT_TRUE(c.apply(Command::start_vm(2, 2)).ok()); }, 85);
   EXPECT_EQ(st.full_rebuilds, 3u) << "a start forces exactly one miss";
   step([](Cluster&) {}, 120);
   EXPECT_EQ(st.full_rebuilds, 3u);
@@ -239,7 +230,7 @@ TEST(ClusterIncrementalTest, MarkLostLeavesTheLiveSetAndHits) {
 
   for (Cluster* c : {memo.get(), replan.get()}) {
     c->run_until(seconds(7));
-    ASSERT_TRUE(c->crash_host(0, /*restart_orphans=*/true));
+    ASSERT_TRUE(c->apply(Command::crash_host(0, /*restart_orphans=*/true)).ok());
     c->run_until(seconds(10));
   }
   EXPECT_EQ(st.full_rebuilds, 2u) << "first plan + the crash";
@@ -249,7 +240,7 @@ TEST(ClusterIncrementalTest, MarkLostLeavesTheLiveSetAndHits) {
   for (Cluster* c : {memo.get(), replan.get()}) c->run_until(seconds(15));
   EXPECT_EQ(memo->vm_state(0), VmState::kLost);
   EXPECT_EQ(m.restarts_abandoned(), 1u);
-  EXPECT_EQ(m.planning_ticks(), ticks_before + 1) << "mark_lost moves the version";
+  EXPECT_EQ(m.planning_ticks(), ticks_before + 1) << "one tick, one planning pass";
   EXPECT_EQ(st.cached_plans, hits_before + 1);
   EXPECT_EQ(st.full_rebuilds, 2u);
 

@@ -127,9 +127,9 @@ TEST(MigrationConservationTest, WorkCreditAndEnergyConserved) {
   EXPECT_GT(work_on_source_before, common::Work{});
   EXPECT_FALSE(cluster.has_slot(1, vm)) << "slots are lazy: none until a migration";
 
-  ASSERT_TRUE(cluster.migrate(vm, 1));
+  ASSERT_TRUE(cluster.apply(Command::migrate(vm, 1)).ok());
   EXPECT_TRUE(cluster.migrating(vm));
-  EXPECT_FALSE(cluster.migrate(vm, 1)) << "double-migrate must be refused";
+  EXPECT_FALSE(cluster.apply(Command::migrate(vm, 1)).ok()) << "double-migrate must be refused";
   const common::VmId d = cluster.slot_on(1, vm);  // created by the migrate
 
   // Compute the expected timeline from the pure cost model and stop the
@@ -195,7 +195,7 @@ TEST(MigrationConservationTest, DowntimeChargedToSla) {
   const GlobalVmId vm =
       cluster.add_vm(hog_vm("sleeper", 15.0, 256.0), std::make_unique<wl::IdleGuest>(), 0);
   cluster.run_until(seconds(5));
-  ASSERT_TRUE(cluster.migrate(vm, 1));
+  ASSERT_TRUE(cluster.apply(Command::migrate(vm, 1)).ok());
   cluster.run_until(seconds(20));
 
   ASSERT_EQ(cluster.migrations().size(), 1u);
@@ -211,7 +211,7 @@ TEST(MigrationConservationTest, HypervisorOverheadChargedToBothAgents) {
   const GlobalVmId vm =
       cluster.add_vm(hog_vm("hog", 10.0, 512.0), std::make_unique<wl::BusyLoop>(), 0);
   cluster.run_until(seconds(5));
-  ASSERT_TRUE(cluster.migrate(vm, 1));
+  ASSERT_TRUE(cluster.apply(Command::migrate(vm, 1)).ok());
   cluster.run_until(seconds(20));
 
   const MigrationConfig& mc = cluster.config().migration;
@@ -229,15 +229,16 @@ TEST(MigrationConservationTest, VovoGatesEnergyExactly) {
   const GlobalVmId vm =
       cluster.add_vm(hog_vm("hog", 20.0, 256.0), std::make_unique<wl::BusyLoop>(), 0);
   cluster.run_until(seconds(4));
-  ASSERT_TRUE(cluster.migrate(vm, 1));
+  ASSERT_TRUE(cluster.apply(Command::migrate(vm, 1)).ok());
   cluster.run_until(seconds(8));
   ASSERT_EQ(cluster.residence(vm), 1u);
 
   // Host 0 is empty now; powering it off freezes its cluster-counted
   // energy while its own meter keeps running (the host still follows the
   // clock).
-  EXPECT_FALSE(cluster.set_powered(1, false)) << "must refuse: host 1 has a resident";
-  ASSERT_TRUE(cluster.set_powered(0, false));
+  EXPECT_FALSE(cluster.apply(Command::power(1, false)).ok())
+      << "must refuse: host 1 has a resident";
+  ASSERT_TRUE(cluster.apply(Command::power(0, false)).ok());
   const double host0_at_off = cluster.host(0).energy().joules();
   cluster.run_until(seconds(16));
   EXPECT_GT(cluster.host(0).energy().joules(), host0_at_off) << "host meter keeps running";
@@ -246,7 +247,7 @@ TEST(MigrationConservationTest, VovoGatesEnergyExactly) {
 
   // Power back on: growth counts again, the off-interval stays excluded.
   const double host0_at_on = cluster.host(0).energy().joules();
-  ASSERT_TRUE(cluster.set_powered(0, true));
+  ASSERT_TRUE(cluster.apply(Command::power(0, true)).ok());
   cluster.run_until(seconds(20));
   EXPECT_DOUBLE_EQ(cluster.energy_joules(),
                    host0_at_off + (cluster.host(0).energy().joules() - host0_at_on) +
@@ -271,7 +272,7 @@ TEST(MigrationConservationTest, ManagerTickDuringPauseDoesNotMintCredit) {
   const common::VmId s = cluster.home_slot(vm);
 
   cluster.run_until(seconds(2));
-  ASSERT_TRUE(cluster.migrate(vm, 1));
+  ASSERT_TRUE(cluster.apply(Command::migrate(vm, 1)).ok());
   const MigrationPlan plan =
       plan_migration(1024.0, 2000.0, cluster.config().migration);
   const SimTime stop = seconds(2) + plan.precopy_duration;
@@ -301,7 +302,7 @@ TEST(MigrationConservationTest, AttachCompensatesForDestinationFrequency) {
       cluster.add_vm(hog_vm("hog", 20.0, 256.0), std::make_unique<wl::BusyLoop>(), 0);
   cluster.host(1).cpufreq().request(0);  // destination parked at the lowest P-state
   cluster.run_until(seconds(2));
-  ASSERT_TRUE(cluster.migrate(vm, 1));
+  ASSERT_TRUE(cluster.apply(Command::migrate(vm, 1)).ok());
   cluster.run_until(seconds(6));
   ASSERT_EQ(cluster.residence(vm), 1u);
   const cpu::FrequencyLadder& ladder = cluster.host(1).cpu().ladder();
@@ -324,7 +325,7 @@ TEST(MigrationConservationTest, OpenLoopArrivalsSurviveTheMove) {
   const GlobalVmId vm = cluster.add_vm(std::move(vc), std::move(web), 0);
 
   cluster.run_until(seconds(10));
-  ASSERT_TRUE(cluster.migrate(vm, 1));
+  ASSERT_TRUE(cluster.apply(Command::migrate(vm, 1)).ok());
   cluster.run_until(seconds(30));
 
   // ~8 req/s for 30 s minus boundary effects; served work equals the
@@ -372,12 +373,12 @@ TEST(MigrationFaultTest, AbortMidPrecopyRollsBackCleanly) {
   const common::VmId s = cluster.home_slot(vm);
 
   cluster.run_until(seconds(5));
-  ASSERT_TRUE(cluster.migrate(vm, 1));
+  ASSERT_TRUE(cluster.apply(Command::migrate(vm, 1)).ok());
   // 512 MB at 1000 MB/s: round 0 runs until t = 5.512 s. Abort inside it.
   cluster.run_until(seconds(5) + msec(200));
-  ASSERT_TRUE(cluster.abort_migration(vm));
+  ASSERT_TRUE(cluster.apply(Command::abort_migration(vm)).ok());
   EXPECT_FALSE(cluster.migrating(vm));
-  EXPECT_FALSE(cluster.abort_migration(vm)) << "nothing left to abort";
+  EXPECT_FALSE(cluster.apply(Command::abort_migration(vm)).ok()) << "nothing left to abort";
 
   ASSERT_EQ(cluster.migrations().size(), 1u);
   const MigrationRecord& rec = cluster.migrations().front();
@@ -402,7 +403,7 @@ TEST(MigrationFaultTest, AbortMidPrecopyRollsBackCleanly) {
   EXPECT_GT(cluster.host(0).vm(s).total_work, work_after_abort)
       << "guest must keep running on the source";
 
-  ASSERT_TRUE(cluster.migrate(vm, 1)) << "aborted VM must be migratable again";
+  ASSERT_TRUE(cluster.apply(Command::migrate(vm, 1)).ok()) << "aborted VM must be migratable again";
   cluster.run_until(seconds(20));
   ASSERT_EQ(cluster.migrations().size(), 2u);
   const MigrationRecord& redo = cluster.migrations().back();
@@ -421,7 +422,7 @@ TEST(MigrationFaultTest, AbortDuringPauseRollsBackWithCreditConserved) {
   const common::VmId s = cluster.home_slot(vm);
 
   cluster.run_until(seconds(2));
-  ASSERT_TRUE(cluster.migrate(vm, 1));
+  ASSERT_TRUE(cluster.apply(Command::migrate(vm, 1)).ok());
   const MigrationPlan plan = plan_migration(1024.0, 2000.0, cluster.config().migration);
   const SimTime stop = seconds(2) + plan.precopy_duration;
   const SimTime abort_at = stop + msec(300);
@@ -429,7 +430,7 @@ TEST(MigrationFaultTest, AbortDuringPauseRollsBackWithCreditConserved) {
 
   cluster.run_until(abort_at);
   ASSERT_TRUE(cluster.engine().detached(vm)) << "guest must be in its pause";
-  ASSERT_TRUE(cluster.abort_migration(vm));
+  ASSERT_TRUE(cluster.apply(Command::abort_migration(vm)).ok());
 
   ASSERT_EQ(cluster.migrations().size(), 1u);
   const MigrationRecord& rec = cluster.migrations().front();
@@ -464,7 +465,7 @@ TEST(MigrationFaultTest, CrashDuringPauseLosesGuest) {
   const GlobalVmId vm = cluster.add_vm(std::move(vc), std::make_unique<wl::BusyLoop>(), 0);
 
   cluster.run_until(seconds(2));
-  ASSERT_TRUE(cluster.migrate(vm, 1));
+  ASSERT_TRUE(cluster.apply(Command::migrate(vm, 1)).ok());
   const MigrationPlan plan = plan_migration(1024.0, 2000.0, cluster.config().migration);
   const SimTime mid_pause = seconds(2) + plan.precopy_duration + msec(300);
   cluster.run_until(mid_pause);
@@ -472,7 +473,7 @@ TEST(MigrationFaultTest, CrashDuringPauseLosesGuest) {
 
   // Source crashes while the guest exists only in transit: the one
   // unrecoverable case — restart_orphans cannot save what no host holds.
-  ASSERT_TRUE(cluster.crash_host(0, /*restart_orphans=*/true));
+  ASSERT_TRUE(cluster.apply(Command::crash_host(0, /*restart_orphans=*/true)).ok());
   ASSERT_EQ(cluster.migrations().size(), 1u);
   const MigrationRecord& rec = cluster.migrations().front();
   EXPECT_EQ(rec.outcome, MigrationOutcome::kLostSourceCrash);
@@ -484,7 +485,8 @@ TEST(MigrationFaultTest, CrashDuringPauseLosesGuest) {
   EXPECT_TRUE(cluster.orphaned_vms().empty()) << "lost, not orphaned: nothing to recover";
   EXPECT_TRUE(cluster.crashed(0));
   EXPECT_FALSE(cluster.powered_on(0));
-  EXPECT_FALSE(cluster.crash_host(1, true)) << "must refuse to crash the last live host";
+  EXPECT_FALSE(cluster.apply(Command::crash_host(1, true)).ok())
+      << "must refuse to crash the last live host";
 
   // The fleet keeps following the clock; a lost VM accrues nothing further.
   const SimTime observed = cluster.sla().observed_time(vm);
@@ -504,11 +506,11 @@ TEST(MigrationFaultTest, CrashWithRestartOrphansAndManagerRecovers) {
       cluster.add_vm(hog_vm("hog", 10.0, 512.0), std::make_unique<wl::BusyLoop>(), 0);
 
   cluster.run_until(seconds(12));
-  ASSERT_TRUE(cluster.crash_host(0, /*restart_orphans=*/true));
+  ASSERT_TRUE(cluster.apply(Command::crash_host(0, /*restart_orphans=*/true)).ok());
   EXPECT_EQ(cluster.vm_state(vm), VmState::kOrphaned);
   ASSERT_EQ(cluster.orphaned_vms().size(), 1u);
   EXPECT_EQ(cluster.orphaned_vms().front(), vm);
-  EXPECT_FALSE(cluster.migrate(vm, 1)) << "an orphan cannot be live-migrated";
+  EXPECT_FALSE(cluster.apply(Command::migrate(vm, 1)).ok()) << "an orphan cannot be live-migrated";
 
   cluster.run_until(seconds(30));  // manager tick at t=15 runs the recovery pass
   EXPECT_EQ(cluster.vm_state(vm), VmState::kRunning);
@@ -559,7 +561,7 @@ TEST(MigrationFaultTest, RestartBackoffGivesUp) {
       cluster.add_vm(hog_vm("hog", 10.0, 512.0), std::make_unique<wl::BusyLoop>(), 0);
 
   cluster.run_until(seconds(12));
-  ASSERT_TRUE(cluster.crash_host(0, /*restart_orphans=*/true));
+  ASSERT_TRUE(cluster.apply(Command::crash_host(0, /*restart_orphans=*/true)).ok());
   // Tick t=15: attempt 1 fails, next retry at t=20. Tick t=20: attempt 2
   // fails and exhausts the budget.
   cluster.run_until(seconds(40));
@@ -590,7 +592,7 @@ TEST(MigrationFaultTest, BrownoutSkipsTicksAndRecovers) {
   EXPECT_EQ(cluster.residence(vm0), cluster.residence(vm1)) << "t=10 tick consolidated";
   const HostId packed = cluster.residence(vm1);
   const HostId other = packed == 0 ? 1 : 0;
-  ASSERT_TRUE(cluster.migrate(vm1, other));
+  ASSERT_TRUE(cluster.apply(Command::migrate(vm1, other)).ok());
   cluster.run_until(seconds(33));
   EXPECT_NE(cluster.residence(vm0), cluster.residence(vm1))
       << "no tick inside the brownout undoes the drift";
@@ -609,13 +611,13 @@ TEST(MigrationFaultTest, LinkDegradeExtendsInFlightMigration) {
       cluster.add_vm(hog_vm("hog", 20.0, 1024.0), std::make_unique<wl::BusyLoop>(), 0);
 
   cluster.run_until(seconds(5));
-  ASSERT_TRUE(cluster.migrate(vm, 1));
+  ASSERT_TRUE(cluster.apply(Command::migrate(vm, 1)).ok());
   const MigrationPlan orig = plan_migration(1024.0, 50.0, cluster.config().migration);
   const SimTime orig_end = seconds(5) + orig.precopy_duration + orig.downtime;
 
   // Degrade the link 10× mid round 0 (the 1024 MB push spans [5, 6.024]).
   cluster.run_until(seconds(5) + msec(500));
-  cluster.set_link_bandwidth(100.0);
+  (void)cluster.apply(Command::set_link_bandwidth(100.0));
   EXPECT_DOUBLE_EQ(cluster.link_bandwidth(), 100.0);
 
   cluster.run_until(seconds(60));

@@ -141,47 +141,27 @@ DrawnStream draw_stream(const ScenarioSpec& spec, const fault::FaultPlan& plan,
   return stream;
 }
 
-/// The hand-compiled equivalent of ControlPlane::apply — the same cluster
-/// calls behind the same guards, minus the result bookkeeping. Any drift
-/// between this and control_plane.cpp is exactly what the differential
-/// run detects.
+/// The hand-compiled equivalent of ControlPlane::apply — the same
+/// check → admission → apply sequence, minus the result bookkeeping. Any
+/// drift between this and control_plane.cpp is exactly what the
+/// differential run detects.
 void compile_by_hand(Cluster& cluster, const ctl::Task& task, common::SimTime now) {
-  using Admission = ClusterManager::ExternalAdmission;
+  Command cmd;
   switch (task.kind) {
-    case ctl::TaskKind::kMigrate: {
-      if (cluster.vm_state(task.vm) != VmState::kRunning) return;
-      if (cluster.crashed(task.host)) return;
-      if (cluster.residence(task.vm) == task.host) return;
-      if (cluster.migrating(task.vm)) return;
-      ClusterManager* mgr = cluster.manager();
-      if (mgr != nullptr && mgr->admit_external_migration(now) != Admission::kAdmitted)
-        return;
-      (void)cluster.migrate(task.vm, task.host);
-      return;
-    }
-    case ctl::TaskKind::kStopVm:
-      (void)cluster.stop_vm(task.vm);
-      return;
-    case ctl::TaskKind::kStartVm:
-      if (cluster.vm_state(task.vm) != VmState::kStopped) return;
-      if (cluster.crashed(task.host)) return;
-      (void)cluster.start_vm(task.vm, task.host);
-      return;
-    case ctl::TaskKind::kCrashHost:
-      if (cluster.crashed(task.host)) return;
-      (void)cluster.crash_host(task.host, task.restart);
-      return;
-    case ctl::TaskKind::kRestartVm:
-      if (cluster.vm_state(task.vm) != VmState::kOrphaned) return;
-      if (cluster.crashed(task.host)) return;
-      (void)cluster.restart_vm(task.vm, task.host);
-      return;
-    case ctl::TaskKind::kSetLinkBandwidth:
-      cluster.set_link_bandwidth(task.mb_per_s);
-      return;
-    case ctl::TaskKind::kAnnotate:
-      return;
+    case ctl::TaskKind::kMigrate: cmd = Command::migrate(task.vm, task.host); break;
+    case ctl::TaskKind::kStopVm: cmd = Command::stop_vm(task.vm); break;
+    case ctl::TaskKind::kStartVm: cmd = Command::start_vm(task.vm, task.host); break;
+    case ctl::TaskKind::kCrashHost: cmd = Command::crash_host(task.host, task.restart); break;
+    case ctl::TaskKind::kRestartVm: cmd = Command::restart_vm(task.vm, task.host); break;
+    case ctl::TaskKind::kSetLinkBandwidth: cmd = Command::set_link_bandwidth(task.mb_per_s); break;
+    case ctl::TaskKind::kAnnotate: return;
   }
+  if (!cluster.check(cmd).ok()) return;
+  ClusterManager* mgr = cluster.manager();
+  if (cmd.kind == CommandKind::kMigrate && mgr != nullptr &&
+      !mgr->admit_external_migration(now).ok())
+    return;
+  (void)cluster.apply(cmd);
 }
 
 /// The fields of draw_scenario's output a perturbed generator would move

@@ -235,7 +235,8 @@ TEST(FederationLinkTest, FlightGuardsRefuseConflictingMoves) {
   ASSERT_TRUE(fed.migrate(0, 0, 1, 1));
   // In flight: neither tier may touch the VM until the link is done.
   EXPECT_FALSE(fed.migrate(0, 0, 1, 0)) << "double cross-shard move";
-  EXPECT_FALSE(fed.shard(0).migrate(0, 1)) << "shard-local move of a fed-locked VM";
+  EXPECT_FALSE(fed.shard(0).apply(cluster::Command::migrate(0, 1)).ok())
+      << "shard-local move of a fed-locked VM";
   EXPECT_TRUE(fed.shard(0).federation_locked(0));
   fed.run_until(seconds(60));
   // Completed: the source-side id is departed — also not migratable.

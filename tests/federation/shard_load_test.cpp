@@ -64,7 +64,7 @@ TEST(ShardLoadTest, ReadsTheLastPlannedLiveSet) {
 
   expect_load(3 * mem, 2400.0, "fresh fleet");
   fed.run_until(seconds(3));
-  ASSERT_TRUE(s0.crash_host(2, /*restart_orphans=*/false));
+  ASSERT_TRUE(s0.apply(cluster::Command::crash_host(2, /*restart_orphans=*/false)).ok());
   ASSERT_FALSE(s0.manager()->has_plan());
   expect_load(2 * mem, 1400.0, "before the first plan: the live fleet, crash included");
 
@@ -73,7 +73,7 @@ TEST(ShardLoadTest, ReadsTheLastPlannedLiveSet) {
   expect_load(2 * mem, 1400.0, "first planning tick");
 
   fed.run_until(seconds(11));
-  ASSERT_TRUE(s0.crash_host(1, /*restart_orphans=*/false));
+  ASSERT_TRUE(s0.apply(cluster::Command::crash_host(1, /*restart_orphans=*/false)).ok());
   expect_load(2 * mem, 1400.0, "crash between ticks does not show");
   ASSERT_TRUE(fed.migrate(0, a, 1, 0));
   fed.run_until(seconds(19));

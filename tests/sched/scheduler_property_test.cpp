@@ -24,9 +24,13 @@ struct ShareCase {
 };
 
 std::string case_name(const ::testing::TestParamInfo<ShareCase>& info) {
-  return "a" + std::to_string(static_cast<int>(info.param.credit_a)) + "_b" +
-         std::to_string(static_cast<int>(info.param.credit_b)) + "_f" +
-         std::to_string(info.param.freq_index);
+  std::string name = "a";
+  name.append(std::to_string(static_cast<int>(info.param.credit_a)))
+      .append("_b")
+      .append(std::to_string(static_cast<int>(info.param.credit_b)))
+      .append("_f")
+      .append(std::to_string(info.param.freq_index));
+  return name;
 }
 
 class CreditShareProperty : public ::testing::TestWithParam<ShareCase> {};

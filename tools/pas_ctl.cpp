@@ -167,26 +167,18 @@ int run_repl(const Options& opt) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(const pas::common::Flags& flags) {
   Options opt;
-  try {
-    const pas::common::Flags flags(argc, argv);
-    opt.commands = flags.get_or("commands", "");
-    opt.results = flags.get_or("results", "");
-    opt.repl = flags.has("repl");
-    opt.hosts = flags.get_count("hosts", 8);
-    opt.vms = flags.get_count("vms", 64);
-    opt.horizon_s = flags.get_double("horizon", 400.0);
-    opt.seed = flags.get_count("seed", 17);
-    opt.threads = flags.get_count("threads", 1);
-    opt.fast_path = !flags.has("slow");
-    opt.chaos_seed = flags.get_count("chaos-seed", 0);
-  } catch (const std::exception& err) {  // a malformed or negative flag
-    std::fprintf(stderr, "pas_ctl: %s\n", err.what());
-    return 2;
-  }
+  opt.commands = flags.get_or("commands", "");
+  opt.results = flags.get_or("results", "");
+  opt.repl = flags.has("repl");
+  opt.hosts = flags.get_count("hosts", 8);
+  opt.vms = flags.get_count("vms", 64);
+  opt.horizon_s = flags.get_double("horizon", 400.0);
+  opt.seed = flags.get_count("seed", 17);
+  opt.threads = flags.get_count("threads", 1);
+  opt.fast_path = !flags.has("slow");
+  opt.chaos_seed = flags.get_count("chaos-seed", 0);
 
   if (!opt.repl && opt.commands.empty()) {
     std::fprintf(stderr,
@@ -196,11 +188,11 @@ int main(int argc, char** argv) {
                  "         [--threads=1] [--slow] [--chaos-seed=N]\n");
     return 2;
   }
-
-  try {
-    return opt.repl ? run_repl(opt) : run_batch(opt);
-  } catch (const std::exception& err) {
-    std::fprintf(stderr, "pas_ctl: %s\n", err.what());
-    return 1;
-  }
+  return opt.repl ? run_repl(opt) : run_batch(opt);
 }
+
+}  // namespace
+
+// A malformed or negative flag exits 2; a failed run (an unreadable or
+// malformed command file included) exits 1.
+int main(int argc, char** argv) { return pas::common::run_main(argc, argv, run); }
