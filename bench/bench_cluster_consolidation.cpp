@@ -79,7 +79,7 @@
 //
 // Every invocation also reports the sparse driver's dispatch counters in
 // the `engine{...}` JSON block (segments / dispatches / bulk_skips /
-// catch_ups / refills_collapsed / active_fraction / pool_grain, taken from
+// catch_ups / refills_collapsed / active_fraction, taken from
 // the scale run when present, else the 8x64 fast run);
 // --require-active-fraction=X turns the fraction into a CI ceiling on the
 // scale tier (full runs only, --smoke exempt).
@@ -228,7 +228,6 @@ struct Bench {
   /// the federation K = 1 oracle and the default engine telemetry.
   std::unique_ptr<Cluster> fast;
   pas::cluster::EngineStats engine;
-  std::size_t grain = 0;
   Results r;
 };
 
@@ -240,7 +239,6 @@ Json base_tier(Bench& b) {
   b.r.parallel = d.parallel;
   b.r.fast_rate = rate(b.horizon, d.fast_wall);
   b.engine = d.fast->engine_stats();
-  b.grain = d.fast->config().execution.pool_grain;
   b.fast = std::move(d.fast);
   Json j;
   j.obj("slow", timing(d.ref_wall, rate(b.horizon, d.ref_wall)))
@@ -431,7 +429,6 @@ Json scale_tier(Bench& b) {
                                        [&] { return build(cfg); }, nullptr, cfg.horizon);
   b.r.scale = d.reference;
   b.engine = d.fast->engine_stats();
-  b.grain = d.fast->config().execution.pool_grain;
 
   const pas::cluster::ClusterManager& memo = *d.fast->manager();
   const pas::cluster::ClusterManager& replan = *d.ref->manager();
@@ -513,8 +510,7 @@ Json engine_tier(Bench& b) {
                        .count("bulk_skips", e.bulk_skips)
                        .count("catch_ups", e.catch_ups)
                        .count("refills_collapsed", e.refills_collapsed)
-                       .num("active_fraction", e.active_fraction(), 6)
-                       .count("pool_grain", b.grain));
+                       .num("active_fraction", e.active_fraction(), 6));
 }
 
 struct Tier {

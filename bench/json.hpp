@@ -10,6 +10,8 @@
 #include <utility>
 #include <vector>
 
+#include "control/json.hpp"
+
 namespace pas::bench {
 
 /// Ordered JSON object: members render in insertion order, two-space
@@ -23,7 +25,7 @@ class Json {
   }
   Json& count(const std::string& key, std::uint64_t v) { return raw(key, std::to_string(v)); }
   Json& str(const std::string& key, const std::string& v) {
-    return raw(key, '"' + escape(v) + '"');
+    return raw(key, '"' + ctl::json::escape(v) + '"');
   }
   /// Tri-state: a comparison that never ran is null, never a vacuous true.
   Json& verdict(const std::string& key, const std::optional<bool>& v) {
@@ -58,7 +60,8 @@ class Json {
     std::string out = "{\n";
     for (std::size_t i = 0; i < members_.size(); ++i) {
       const Member& m = members_[i];
-      out += pad + '"' + escape(m.key) + "\": " + (m.child ? m.child->render(depth + 1) : m.value);
+      out += pad + '"' + ctl::json::escape(m.key) + "\": " +
+             (m.child ? m.child->render(depth + 1) : m.value);
       out += i + 1 < members_.size() ? ",\n" : "\n";
     }
     return out + std::string(2 * depth, ' ') + "}";
@@ -70,25 +73,6 @@ class Json {
     std::string value;
     std::shared_ptr<const Json> child;
   };
-
-  /// Quotes, backslashes and control characters: the --trace and
-  /// --commands paths and class names are user-supplied.
-  static std::string escape(const std::string& s) {
-    std::string out;
-    for (const char c : s) {
-      if (c == '"' || c == '\\') {
-        out += '\\';
-        out += c;
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        char buf[8];
-        std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-        out += buf;
-      } else {
-        out += c;
-      }
-    }
-    return out;
-  }
 
   std::vector<Member> members_;
 };

@@ -7,7 +7,6 @@
 
 #include "cluster/cluster_manager.hpp"
 #include "control/control_plane.hpp"
-#include "core/compensation.hpp"
 #include "fault/fault.hpp"
 #include "sched/credit_scheduler.hpp"
 #include "workload/synthetic.hpp"
@@ -101,8 +100,8 @@ Cluster::Cluster(ClusterConfig config)
     agent_cfg.priority = cfg_.agent_priority;
     auto agent = std::make_unique<HypervisorAgent>();
     agents_.push_back(agent.get());
-    const common::VmId slot_id = host->add_vm(agent_cfg, std::move(agent));
-    if (slot_id != 0) throw std::logic_error("Cluster: agent must hold slot 0");
+    if (host->add_vm(agent_cfg, std::move(agent)) != kAgentSlot)
+      throw std::logic_error("Cluster: agent must hold slot 0");
     hosts_.push_back(std::move(host));
   }
 }
@@ -180,11 +179,6 @@ void Cluster::complete_inbound(GlobalVmId vm, common::SimTime downtime) {
   // bought.
   if (downtime > common::SimTime{})
     sla_.record_window(vm, downtime, 0.0, /*saturated=*/true);
-}
-
-void Cluster::set_federation_lock(GlobalVmId vm, bool locked) {
-  if (vm >= vm_cfgs_.size()) throw std::invalid_argument("Cluster: bad VM id");
-  fed_locked_[vm] = locked ? 1 : 0;
 }
 
 void Cluster::record_slot(HostId host, GlobalVmId vm, common::VmId slot) {
@@ -348,7 +342,8 @@ Outcome Cluster::check(const Command& cmd) const {
   using K = CommandKind;
   const K k = cmd.kind;
   if ((k == K::kMigrate || k == K::kStopVm || k == K::kStartVm || k == K::kRestartVm ||
-       k == K::kMarkLost || k == K::kAbortMigration) && cmd.vm >= vm_cfgs_.size())
+       k == K::kMarkLost || k == K::kAbortMigration || k == K::kFederationLock) &&
+      cmd.vm >= vm_cfgs_.size())
     throw std::invalid_argument("Cluster: bad VM id");
   if ((k == K::kMigrate || k == K::kStartVm || k == K::kCrashHost || k == K::kRestartVm ||
        k == K::kPowerOn || k == K::kPowerOff) && cmd.host >= hosts_.size())
@@ -372,6 +367,7 @@ Outcome Cluster::check(const Command& cmd) const {
       if (fed_locked_[cmd.vm]) return vm_no(rej, "locked by a federation flight");
       return out;
     case K::kStopVm:
+    case K::kFederationLock:
       out = state_rung(vm_state_[cmd.vm], VmState::kRunning, k, cmd.vm);
       if (!out.ok()) return out;
       if (engine_->in_flight(cmd.vm)) return vm_no(rej, "in flight");
@@ -413,20 +409,19 @@ Outcome Cluster::apply(const Command& cmd) {
       const HostId from = home_[cmd.vm];
       power(cmd.host, true);  // the destination must be receiving
       const ClusterVmConfig& cfg = vm_cfgs_[cmd.vm];
-      MigrationEngine::Endpoint source{hosts_[from].get(), home_slot_[cmd.vm], agents_[from], 0};
+      MigrationEngine::Endpoint source{hosts_[from].get(), home_slot_[cmd.vm], agents_[from]};
       MigrationEngine::Endpoint dest{hosts_[cmd.host].get(), ensure_slot(cmd.host, cmd.vm),
-                                     agents_[cmd.host], 0};
+                                     agents_[cmd.host]};
       engine_->begin(cmd.vm, from, cmd.host, source, dest, cfg.memory_mb, cfg.dirty_mb_per_s,
-                     cfg.vm.credit, now_,
-                     [this](const MigrationRecord& r) { on_migration_done(r); });
+                     now_, [this](const MigrationRecord& r) { on_migration_done(r); });
       break;
     }
     case CommandKind::kStopVm:
-      // Same drain as a crash sweep — workload off-host, cap 0, balance
-      // gone — but into the held store on purpose, and with no SLA
+      // Same detach as a crash sweep — workload off-host, cap 0, balance
+      // dropped — but into the held store on purpose, and with no SLA
       // consequence: the monitor simply stops sampling a non-running VM
       // (sample_sla's filter).
-      held_wl_[cmd.vm] = drain(*hosts_[home_[cmd.vm]], home_slot_[cmd.vm]);
+      held_wl_[cmd.vm] = hosts_[home_[cmd.vm]]->detach_guest(home_slot_[cmd.vm]).workload;
       vm_state_[cmd.vm] = VmState::kStopped;
       break;
     case CommandKind::kStartVm: reattach(cmd.vm, cmd.host); break;
@@ -446,13 +441,14 @@ Outcome Cluster::apply(const Command& cmd) {
       held_wl_[cmd.vm].reset();
       vm_state_[cmd.vm] = VmState::kLost;
       break;
-    case CommandKind::kSetLinkBandwidth: engine_->set_link_bandwidth(cmd.mb_per_s, now_); break;
+    case CommandKind::kSetLinkBandwidth: engine_->set_link_bandwidth(cmd.mb_per_s); break;
     case CommandKind::kAbortMigration: engine_->cancel(cmd.vm, now_); break;
     case CommandKind::kAbortOldestMigration:
       engine_->cancel(engine_->in_flight_vms().front(), now_);
       break;
     case CommandKind::kPowerOn: power(cmd.host, true); break;
     case CommandKind::kPowerOff: power(cmd.host, false); break;
+    case CommandKind::kFederationLock: fed_locked_[cmd.vm] = 1; break;
   }
   return out;
 }
@@ -484,9 +480,9 @@ void Cluster::crash(HostId host, bool restart_orphans) {
   for (const auto& [gid, s] : host_slots_[host]) {
     if (home_[gid] != host || vm_state_[gid] != VmState::kRunning) continue;
     // Crash semantics for credit: the balance dies with the host (unlike a
-    // migration's export, nothing carries it), and the cap drops to zero so
-    // the dead slot earns nothing.
-    auto workload = drain(h, s);
+    // migration's, nothing carries it), and the cap drops to zero so the
+    // dead slot earns nothing.
+    auto workload = h.detach_guest(s).workload;
     if (restart_orphans) {
       vm_state_[gid] = VmState::kOrphaned;
       held_wl_[gid] = std::move(workload);
@@ -496,30 +492,17 @@ void Cluster::crash(HostId host, bool restart_orphans) {
     }
   }
   // Silence the host's hypervisor agent too — a crashed host burns no CPU.
-  h.scheduler().set_cap(0, 0.0);
-  h.scheduler().import_credit(0, common::SimTime{});
+  h.scheduler().set_cap(kAgentSlot, 0.0);
+  h.scheduler().import_credit(kAgentSlot, common::SimTime{});
   assert(!host_in_use(host) && "crashed host must be powerable-off after the sweep");
   power(host, false);
 }
 
-std::unique_ptr<wl::Workload> Cluster::drain(hv::Host& host, common::VmId slot) {
-  auto workload = host.swap_workload(slot, std::make_unique<wl::IdleGuest>());
-  host.scheduler().set_cap(slot, 0.0);
-  host.scheduler().import_credit(slot, common::SimTime{});
-  return workload;
-}
-
 void Cluster::reattach(GlobalVmId vm, HostId to) {
   power(to, true);
-  hv::Host& dst = *hosts_[to];
   const common::VmId s = ensure_slot(to, vm);
-  (void)dst.swap_workload(s, std::move(held_wl_[vm]));
-  // Purchased credit compensated for the destination's current P-state,
-  // over an empty balance.
-  dst.scheduler().set_cap(s, core::compensated_credit(vm_cfgs_[vm].vm.credit,
-                                                      dst.cpu().ladder(),
-                                                      dst.cpu().current_index()));
-  dst.scheduler().import_credit(s, common::SimTime{});
+  // Eq. 4 cap at the destination's current P-state, over an empty balance.
+  hosts_[to]->attach_guest(s, std::move(held_wl_[vm]), common::SimTime{});
   home_[vm] = to;
   home_slot_[vm] = s;
   vm_state_[vm] = VmState::kRunning;
@@ -634,10 +617,9 @@ void Cluster::advance_hosts(common::SimTime target) {
   // fork-join computes precisely what the serial loop does — in whatever
   // thread interleaving — and the barrier restores the synchronized-fleet
   // picture before any cluster event can look. Only active hosts pay the
-  // dispatch; the grain batches them per shared-counter hit.
-  pool_->parallel_for(
-      active_hosts_.size(), [this, &step](std::size_t k) { step(active_hosts_[k]); },
-      cfg_.execution.pool_grain);
+  // dispatch; the pool's default grain batches them per shared-counter hit.
+  pool_->parallel_for(active_hosts_.size(),
+                      [this, &step](std::size_t k) { step(active_hosts_[k]); });
 }
 
 void Cluster::sync_hosts() {

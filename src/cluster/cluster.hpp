@@ -45,8 +45,13 @@
 // Mutation: every state change a running cluster accepts from outside is a
 // Command (cluster/command.hpp) passed to apply(), which decides refusals
 // in one place, check(). The federation hand-off steps (admit_inbound,
-// mark_departed, complete_inbound, set_federation_lock) stay typed: each
-// has one caller and throws on misuse.
+// mark_departed, complete_inbound) stay typed: each has one caller and
+// throws on misuse.
+//
+// Guest moves: every slot change — stop, crash sweep, start/restart,
+// migration detach/attach/rollback — goes through hv::Host::detach_guest
+// and attach_guest, which carry the credit balance and re-cap the slot by
+// eq. 4 from its own VmConfig::credit.
 #pragma once
 
 #include <cstddef>
@@ -80,10 +85,6 @@ namespace pas::cluster {
 
 class ClusterManager;
 
-/// Slot index of a cluster VM on every host: slot 0 is the hypervisor
-/// agent, guests follow in creation order.
-inline constexpr common::VmId kFirstGuestSlot = 1;
-
 struct ClusterVmConfig {
   hv::VmConfig vm;  // name, purchased credit, priority
   /// Memory footprint — the consolidation planner's binding resource and
@@ -101,10 +102,6 @@ struct ExecutionPolicy {
   /// (no pool, no worker threads); 0 = one executor per hardware thread;
   /// N > 1 = a pool of N-1 workers plus the coordinating thread.
   std::size_t threads = 1;
-  /// Consecutive active-host indices each pool executor claims per shared-
-  /// counter hit (common::ThreadPool::parallel_for grain). Scheduling only
-  /// — which hosts advance, and to what state, never depends on it.
-  std::size_t pool_grain = common::ThreadPool::kDefaultGrain;
 };
 
 /// Sparse-driver telemetry: of the host-segments each run_until cut, how
@@ -255,8 +252,8 @@ class Cluster {
   /// cluster events and between run_until calls. A refused command changes
   /// nothing. Effects, per kind:
   ///   migrate    — powers the destination on and starts a live migration.
-  ///   stop_vm    — swaps the workload off its host and holds it; cap and
-  ///                balance drop to zero. No SLA accrues while stopped —
+  ///   stop_vm    — detaches the guest from its host and holds it; cap
+  ///                and balance drop to zero. No SLA accrues while stopped —
   ///                the stop was requested, not suffered.
   ///   start_vm   — re-attaches a stopped VM on `host` (powered on) at its
   ///                purchased credit compensated for the host's P-state,
@@ -278,6 +275,9 @@ class Cluster {
   ///   power on/off — VOVO: powering off excludes the host's energy from
   ///                the cluster total; the host keeps following the clock,
   ///                so power-on is instantaneous.
+  ///   federation_lock — fences the VM for a cross-shard flight: from now
+  ///                on migrate and stop_vm refuse it, and only
+  ///                mark_departed releases it.
   Outcome apply(const Command& cmd);
 
   /// Installs the external control plane (optional). Must precede the first
@@ -326,10 +326,10 @@ class Cluster {
   /// the migration. Throws std::logic_error unless the VM is kInbound.
   void complete_inbound(GlobalVmId vm, common::SimTime downtime);
 
-  /// Federation transfer lock: while set, the shard's own manager and
-  /// control paths cannot migrate or stop the VM — the federation owns its
-  /// placement until the cross-cluster flight resolves.
-  void set_federation_lock(GlobalVmId vm, bool locked);
+  /// Federation transfer lock (a federation_lock command): while set, the
+  /// shard's own manager and control paths cannot migrate or stop the VM —
+  /// the federation owns its placement until the cross-cluster flight
+  /// resolves.
   [[nodiscard]] bool federation_locked(GlobalVmId vm) const {
     return fed_locked_.at(vm) != 0;
   }
@@ -443,9 +443,6 @@ class Cluster {
   /// Appends a VM to every per-VM table, slotted on `home` with `workload`.
   GlobalVmId register_vm(ClusterVmConfig config, std::unique_ptr<wl::Workload> workload,
                          HostId home, VmState state);
-  /// Takes a slot's guest off its host — an IdleGuest parks in the slot,
-  /// the cap drops to 0 and the credit balance is gone — and returns it.
-  std::unique_ptr<wl::Workload> drain(hv::Host& host, common::VmId slot);
   /// Puts a held guest (stopped or orphaned) back to work on `to`.
   void reattach(GlobalVmId vm, HostId to);
   /// apply's crash_host effect (check() has passed).

@@ -261,27 +261,23 @@ void ClusterManager::apply_dvfs(Cluster& cluster) {
       const double load = host.monitor().avg_absolute_load_pct() + cfg_.load_margin_pct;
       target = core::compute_new_freq_index(ladder, load);
     }
-    const std::size_t applied = host.cpufreq().request(target);
+    host.cpufreq().request(target);
 
     // Eq. 4: whatever the state, resident VMs keep the computing capacity
     // they purchased. (At max frequency the compensated credit equals the
     // purchased credit, so this also undoes stale compensation.) Only VMs
     // holding a slot here can be resident — host_slots walks them in
     // ascending VM id, the order the dense id scan used.
-    for (const auto& entry : cluster.host_slots(h)) {
-      const GlobalVmId gid = entry.first;
+    for (const auto& [gid, slot] : cluster.host_slots(h)) {
       if (cluster.residence(gid) != h) continue;
       if (cluster.vm_state(gid) != VmState::kRunning) continue;
-      // A VM in its stop-and-copy pause has been drained from this slot
+      // A VM in its stop-and-copy pause has been detached from this slot
       // (cap 0, balance 0); re-capping it would mint credit into an empty
       // slot. The attach re-establishes the destination cap.
       if (cluster.engine().detached(gid)) continue;
-      const common::Percent credit = cluster.vm_config(gid).vm.credit;
-      host.scheduler().set_cap(entry.second,
-                               core::compensated_credit(credit, ladder, applied));
+      host.recap(slot);
     }
-    host.scheduler().set_cap(0, core::compensated_credit(cluster.config().agent_credit,
-                                                         ladder, applied));
+    host.recap(kAgentSlot);
   }
 }
 

@@ -17,7 +17,7 @@ namespace pas::cluster {
 
 /// Index of a host within the cluster.
 using HostId = std::uint32_t;
-/// Cluster-wide VM index (its slot on every host is kFirstGuestSlot + id).
+/// Cluster-wide VM index.
 using GlobalVmId = std::uint32_t;
 
 /// The first six kinds are also the control plane's task kinds, with the
@@ -34,6 +34,7 @@ enum class CommandKind : std::uint8_t {
   kAbortOldestMigration,  // cancel the longest-in-flight migration
   kPowerOn,               // VOVO: power `host` on
   kPowerOff,              // VOVO: power `host` off
+  kFederationLock,        // fence a running VM for a cross-shard flight
 };
 
 /// One requested mutation. Only the fields its kind names are read.
@@ -60,6 +61,7 @@ struct Command {
   static Command power(HostId host, bool on) {
     return {on ? CommandKind::kPowerOn : CommandKind::kPowerOff, 0, host};
   }
+  static Command federation_lock(GlobalVmId vm) { return {CommandKind::kFederationLock, vm}; }
 };
 
 enum class Status : std::uint8_t {

@@ -12,10 +12,14 @@
 // forces the re-poll the hint below promises away.
 #pragma once
 
+#include "common/ids.hpp"
 #include "common/units.hpp"
 #include "workload/workload.hpp"
 
 namespace pas::cluster {
+
+/// Every cluster host's slot 0: the agent is the first VM a host gets.
+inline constexpr common::VmId kAgentSlot = 0;
 
 class HypervisorAgent final : public wl::Workload {
  public:

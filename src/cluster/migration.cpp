@@ -6,9 +6,7 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
-
-#include "core/compensation.hpp"
-#include "workload/synthetic.hpp"
+#include <vector>
 
 namespace pas::cluster {
 
@@ -19,34 +17,52 @@ common::SimTime transfer_time(double mb, double mb_per_s) {
   return common::usec(std::max<std::int64_t>(us, 1));
 }
 
-}  // namespace
-
-MigrationPlan plan_migration(double memory_mb, double dirty_mb_per_s,
-                             const MigrationConfig& config) {
+/// The pre-copy recurrence, for a fresh plan and a re-plan alike.
+/// `plan.round_mb` holds the rounds already committed (none for a fresh
+/// plan). From a redirtied set `pending` pushed at `t`, rounds are
+/// appended — with their start instants in `starts` — while the budget
+/// lasts: the first unconditionally when none is committed (round 0 pushes
+/// the whole image even under the threshold), each later one only while
+/// the set redirtied during its predecessor stays above the stop-copy
+/// threshold. Sets the residue, the pre-copy span from the first start and
+/// the pause (switch latency included); returns the instant pre-copy ends.
+common::SimTime extend_precopy(MigrationPlan& plan, std::vector<common::SimTime>& starts,
+                               double pending, common::SimTime t, double memory_mb,
+                               double dirty_mb_per_s, const MigrationConfig& config) {
   if (memory_mb <= 0.0) throw std::invalid_argument("plan_migration: memory must be positive");
   if (config.link_mb_per_s <= 0.0)
     throw std::invalid_argument("plan_migration: link bandwidth must be positive");
   if (dirty_mb_per_s < 0.0)
     throw std::invalid_argument("plan_migration: negative dirty rate");
-
-  MigrationPlan plan;
-  double pending = memory_mb;
-  std::int64_t precopy_us = 0;
-  for (std::size_t round = 0; round < std::max<std::size_t>(config.max_precopy_rounds, 1);
-       ++round) {
+  const std::size_t budget = std::max<std::size_t>(config.max_precopy_rounds, 1);
+  bool unconditional = plan.round_mb.empty();
+  while (plan.round_mb.size() < budget &&
+         (unconditional || pending > config.stop_copy_threshold_mb)) {
+    unconditional = false;
     plan.round_mb.push_back(pending);
-    const common::SimTime t = transfer_time(pending, config.link_mb_per_s);
-    precopy_us += t.us();
+    starts.push_back(t);
+    const common::SimTime dt = transfer_time(pending, config.link_mb_per_s);
+    t += dt;
     // Pages redirtied while this round was in flight; a guest cannot dirty
     // more than its whole memory.
-    pending = std::min(memory_mb, dirty_mb_per_s * t.sec());
-    if (pending <= config.stop_copy_threshold_mb) break;
+    pending = std::min(memory_mb, dirty_mb_per_s * dt.sec());
   }
   plan.stop_copy_mb = pending;
-  plan.precopy_duration = common::usec(precopy_us);
+  plan.precopy_duration = t - starts.front();
   plan.downtime =
       (pending > 0.0 ? transfer_time(pending, config.link_mb_per_s) : common::SimTime{}) +
       config.switch_latency;
+  return t;
+}
+
+}  // namespace
+
+MigrationPlan plan_migration(double memory_mb, double dirty_mb_per_s,
+                             const MigrationConfig& config) {
+  MigrationPlan plan;
+  std::vector<common::SimTime> starts;
+  (void)extend_precopy(plan, starts, memory_mb, common::SimTime{}, memory_mb, dirty_mb_per_s,
+                       config);
   return plan;
 }
 
@@ -79,9 +95,8 @@ std::vector<GlobalVmId> MigrationEngine::in_flight_vms() const {
 
 MigrationPlan MigrationEngine::begin(GlobalVmId vm, HostId from, HostId to,
                                      Endpoint source, Endpoint dest, double memory_mb,
-                                     double dirty_mb_per_s, common::Percent credit_pct,
-                                     common::SimTime now, CompletionFn done,
-                                     CompletionFn on_detach,
+                                     double dirty_mb_per_s, common::SimTime now,
+                                     CompletionFn done, CompletionFn on_detach,
                                      common::SimTime extra_switch_latency) {
   if (in_flight(vm))
     throw std::logic_error("MigrationEngine: VM " + std::to_string(vm) +
@@ -91,11 +106,8 @@ MigrationPlan MigrationEngine::begin(GlobalVmId vm, HostId from, HostId to,
 
   auto flight = std::make_unique<Flight>();
   Flight* f = flight.get();
-  f->plan = plan_migration(memory_mb, dirty_mb_per_s, cfg_);
-  f->plan.downtime += extra_switch_latency;
   f->source = source;
   f->dest = dest;
-  f->credit_pct = credit_pct;
   f->memory_mb = memory_mb;
   f->dirty_mb_per_s = dirty_mb_per_s;
   f->done = std::move(done);
@@ -105,17 +117,7 @@ MigrationPlan MigrationEngine::begin(GlobalVmId vm, HostId from, HostId to,
   f->record.from = from;
   f->record.to = to;
   f->record.start = now;
-  f->record.stop = now + f->plan.precopy_duration;
-  f->record.end = f->record.stop + f->plan.downtime;
-  f->record.rounds = f->plan.round_mb.size();
-  f->record.transferred_mb = f->plan.transferred_mb();
-  f->record.downtime = f->plan.downtime;
-
-  common::SimTime round_start = now;
-  for (const double mb : f->plan.round_mb) {
-    f->round_starts.push_back(round_start);
-    round_start += transfer_time(mb, cfg_.link_mb_per_s);
-  }
+  plan_rounds(*f, memory_mb, now);
   flights_.push_back(std::move(flight));
   schedule_phase_events(*f, 0);
   return f->plan;
@@ -181,12 +183,7 @@ bool MigrationEngine::cancel(GlobalVmId vm, common::SimTime now) {
     // completed path, just into the original slot — and the cap comes back
     // compensated for the source's *current* P-state, which may have
     // changed since detach.
-    hv::Host& src = *f.source.host;
-    (void)src.swap_workload(f.source.vm_slot, std::move(f.held));
-    src.scheduler().set_cap(f.source.vm_slot,
-                            core::compensated_credit(f.credit_pct, src.cpu().ladder(),
-                                                     src.cpu().current_index()));
-    src.scheduler().import_credit(f.source.vm_slot, f.record.credit_exported);
+    f.source.host->attach_guest(f.source.vm_slot, std::move(f.held), f.record.credit_exported);
     f.record.credit_imported = f.record.credit_exported;
     f.record.outcome = MigrationOutcome::kAbortedStopCopy;
     f.record.end = now;
@@ -226,17 +223,26 @@ std::size_t MigrationEngine::abort_host_flights(HostId host, common::SimTime now
   return aborted;
 }
 
-void MigrationEngine::set_link_bandwidth(double mb_per_s, common::SimTime now) {
+void MigrationEngine::set_link_bandwidth(double mb_per_s) {
   if (mb_per_s <= 0.0)
     throw std::invalid_argument("MigrationEngine: link bandwidth must be positive");
   cfg_.link_mb_per_s = mb_per_s;
   // Paused flights are not re-planned: their residue push is committed.
   for (const auto& f : flights_)
-    if (f->held == nullptr) replan_flight(*f, now);
+    if (f->held == nullptr) replan_flight(*f);
 }
 
-void MigrationEngine::replan_flight(Flight& flight, common::SimTime now) {
-  (void)now;
+void MigrationEngine::plan_rounds(Flight& flight, double pending, common::SimTime t) {
+  flight.record.stop = extend_precopy(flight.plan, flight.round_starts, pending, t,
+                                      flight.memory_mb, flight.dirty_mb_per_s, cfg_);
+  flight.plan.downtime += flight.switch_extra;
+  flight.record.end = flight.record.stop + flight.plan.downtime;
+  flight.record.downtime = flight.plan.downtime;
+  flight.record.rounds = flight.plan.round_mb.size();
+  flight.record.transferred_mb = flight.plan.transferred_mb();
+}
+
+void MigrationEngine::replan_flight(Flight& flight) {
   // Committed-round rule: rounds whose push already started complete on
   // their old schedule (the bytes are already windowed on the wire), so the
   // re-plan keeps rounds [0, rounds_fired) verbatim and re-runs the
@@ -254,54 +260,25 @@ void MigrationEngine::replan_flight(Flight& flight, common::SimTime now) {
   flight.plan.round_mb.resize(keep);
   flight.round_starts.resize(keep);
   flight.round_events.resize(keep);
-
-  double pending = seed_pending;
-  common::SimTime t = seed_time;
-  const std::size_t budget = std::max<std::size_t>(cfg_.max_precopy_rounds, 1);
-  // Mirrors plan_migration: the first round is unconditional (round 0 pushes
-  // the full image even when memory ≤ threshold); later rounds run only
-  // while the redirtied set stays above the stop-copy threshold.
-  bool unconditional = keep == 0;
-  while (flight.plan.round_mb.size() < budget &&
-         (unconditional || pending > cfg_.stop_copy_threshold_mb)) {
-    unconditional = false;
-    flight.plan.round_mb.push_back(pending);
-    flight.round_starts.push_back(t);
-    const common::SimTime dt = transfer_time(pending, cfg_.link_mb_per_s);
-    t += dt;
-    pending = std::min(flight.memory_mb, flight.dirty_mb_per_s * dt.sec());
-  }
-  flight.plan.stop_copy_mb = pending;
-  flight.plan.precopy_duration = t - flight.record.start;
-  flight.plan.downtime =
-      (pending > 0.0 ? transfer_time(pending, cfg_.link_mb_per_s) : common::SimTime{}) +
-      cfg_.switch_latency + flight.switch_extra;
-  flight.record.stop = t;
-  flight.record.end = t + flight.plan.downtime;
-  flight.record.downtime = flight.plan.downtime;
-  flight.record.rounds = flight.plan.round_mb.size();
-  flight.record.transferred_mb = flight.plan.transferred_mb();
+  plan_rounds(flight, seed_pending, seed_time);
   schedule_phase_events(flight, keep);
 }
 
 void MigrationEngine::inject_round(Flight& flight, double mb) {
   flight.source.agent->inject(common::mf_usec(mb * cfg_.source_cpu_us_per_mb));
-  flight.source.host->notify_workload_changed(flight.source.agent_slot);
+  flight.source.host->notify_workload_changed(kAgentSlot);
   flight.dest.agent->inject(common::mf_usec(mb * cfg_.dest_cpu_us_per_mb));
-  flight.dest.host->notify_workload_changed(flight.dest.agent_slot);
+  flight.dest.host->notify_workload_changed(kAgentSlot);
 }
 
 void MigrationEngine::detach(Flight& flight) {
   assert(flight.held == nullptr);
-  hv::Host& src = *flight.source.host;
-  flight.held = src.swap_workload(flight.source.vm_slot, std::make_unique<wl::IdleGuest>());
-  flight.record.credit_exported = src.scheduler().export_credit(flight.source.vm_slot);
-  // Drain the source slot so credit exists in exactly one place — and zero
-  // its cap so accounting refills stop minting credit into the empty slot
+  // The detach leaves the source slot capped at zero over an empty balance
   // (the attach restores the cap on the destination; a VM in flight earns
   // nothing, which is also why the pause is SLA-charged).
-  src.scheduler().set_cap(flight.source.vm_slot, 0.0);
-  src.scheduler().import_credit(flight.source.vm_slot, common::SimTime{});
+  auto [workload, balance] = flight.source.host->detach_guest(flight.source.vm_slot);
+  flight.held = std::move(workload);
+  flight.record.credit_exported = balance;
   assert(flight.held != nullptr);
   assert(endpoint_in_flight(flight.record.from) && endpoint_in_flight(flight.record.to));
   if (flight.on_detach) flight.on_detach(flight.record);
@@ -309,16 +286,12 @@ void MigrationEngine::detach(Flight& flight) {
 
 void MigrationEngine::attach(Flight& flight) {
   assert(flight.held != nullptr);
-  hv::Host& dst = *flight.dest.host;
-  (void)dst.swap_workload(flight.dest.vm_slot, std::move(flight.held));
   // The destination resumes at the purchased credit compensated (eq. 4)
   // for the destination's *current* P-state — attaching the raw credit on
   // a down-scaled host would shrink what the customer bought until the
   // next manager pass (up to a whole period of SLA violations).
-  dst.scheduler().set_cap(flight.dest.vm_slot,
-                          core::compensated_credit(flight.credit_pct, dst.cpu().ladder(),
-                                                   dst.cpu().current_index()));
-  dst.scheduler().import_credit(flight.dest.vm_slot, flight.record.credit_exported);
+  flight.dest.host->attach_guest(flight.dest.vm_slot, std::move(flight.held),
+                                 flight.record.credit_exported);
   flight.record.credit_imported = flight.record.credit_exported;
   flight.record.outcome = MigrationOutcome::kCompleted;
   finish(flight);

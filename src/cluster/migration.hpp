@@ -144,12 +144,12 @@ struct MigrationRecord {
 /// VMs may be in flight at once.
 class MigrationEngine {
  public:
-  /// The per-host handles a migration needs on each end.
+  /// The per-host handles a migration needs on each end. The agent holds
+  /// the host's kAgentSlot.
   struct Endpoint {
     hv::Host* host = nullptr;
     common::VmId vm_slot = 0;
     HypervisorAgent* agent = nullptr;
-    common::VmId agent_slot = 0;
   };
 
   using CompletionFn = std::function<void(const MigrationRecord&)>;
@@ -171,8 +171,7 @@ class MigrationEngine {
   /// a cross-class link move; it survives bandwidth re-plans.
   MigrationPlan begin(GlobalVmId vm, HostId from, HostId to, Endpoint source,
                       Endpoint dest, double memory_mb, double dirty_mb_per_s,
-                      common::Percent credit_pct, common::SimTime now, CompletionFn done,
-                      CompletionFn on_detach = {},
+                      common::SimTime now, CompletionFn done, CompletionFn on_detach = {},
                       common::SimTime extra_switch_latency = {});
 
   /// Aborts the in-flight migration of `vm` at `now` (see the file header
@@ -188,12 +187,11 @@ class MigrationEngine {
   /// Returns the number of flights aborted.
   std::size_t abort_host_flights(HostId host, common::SimTime now);
 
-  /// Changes the migration-link bandwidth at `now` and re-plans the
-  /// remaining rounds of every in-flight pre-copy at the new rate (the
-  /// round on the wire completes on its committed schedule; a flight in
-  /// its pause is untouched). Throws std::invalid_argument on a
-  /// non-positive rate.
-  void set_link_bandwidth(double mb_per_s, common::SimTime now);
+  /// Changes the migration-link bandwidth and re-plans the remaining
+  /// rounds of every in-flight pre-copy at the new rate (the round on the
+  /// wire completes on its committed schedule; a flight in its pause is
+  /// untouched). Throws std::invalid_argument on a non-positive rate.
+  void set_link_bandwidth(double mb_per_s);
 
   [[nodiscard]] bool in_flight(GlobalVmId vm) const;
   /// True from the stop-and-copy pause until attach (the guest exists on
@@ -214,7 +212,6 @@ class MigrationEngine {
     MigrationPlan plan;
     Endpoint source;
     Endpoint dest;
-    common::Percent credit_pct = 0.0;
     double memory_mb = 0.0;
     double dirty_mb_per_s = 0.0;
     std::unique_ptr<wl::Workload> held;  // guest state during the pause
@@ -240,8 +237,12 @@ class MigrationEngine {
   void schedule_phase_events(Flight& flight, std::size_t first_round);
   /// Cancels every not-yet-fired event of the flight.
   void cancel_pending_events(Flight& flight);
+  /// Runs the pre-copy recurrence from a redirtied set `pending` pushed
+  /// at `t`, after the flight's committed rounds, and re-derives the
+  /// record's phase instants and totals from the extended plan.
+  void plan_rounds(Flight& flight, double pending, common::SimTime t);
   /// Recomputes the flight's remaining rounds at the current bandwidth.
-  void replan_flight(Flight& flight, common::SimTime now);
+  void replan_flight(Flight& flight);
   /// Removes the flight, records it, and fires the completion callback.
   void finish(Flight& flight);
 

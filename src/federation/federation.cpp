@@ -1,5 +1,6 @@
 #include "federation/federation.hpp"
 
+#include <cassert>
 #include <stdexcept>
 #include <utility>
 
@@ -100,23 +101,27 @@ void Federation::run_until(common::SimTime until) {
   }
 }
 
-bool Federation::migrate(ShardId from_shard, cluster::GlobalVmId vm, ShardId to_shard,
-                         cluster::HostId to_host) {
+cluster::Outcome Federation::migrate(ShardId from_shard, cluster::GlobalVmId vm,
+                                     ShardId to_shard, cluster::HostId to_host) {
   if (from_shard >= shards_.size() || to_shard >= shards_.size())
     throw std::invalid_argument("Federation: bad shard id");
   cluster::Cluster& src = *shards_[from_shard];
-  if (vm >= src.vm_count()) throw std::invalid_argument("Federation: bad VM id");
   // Same shard: the intra-rack tier, i.e. the shard's own engine.
-  if (from_shard == to_shard) return src.apply(cluster::Command::migrate(vm, to_host)).ok();
+  if (from_shard == to_shard) return src.apply(cluster::Command::migrate(vm, to_host));
 
+  // The source VM must be lockable (running, not in a shard flight, not
+  // already locked) and the destination host able to power on (not
+  // crashed); both shards word the refusal. The lock fences the shard
+  // manager off the VM until the link's detach departs it.
   cluster::Cluster& dst = *shards_[to_shard];
-  if (to_host >= dst.host_count())
-    throw std::invalid_argument("Federation: bad destination host");
-  if (src.vm_state(vm) != cluster::VmState::kRunning) return false;
-  if (src.migrating(vm) || src.federation_locked(vm)) return false;
-  if (dst.crashed(to_host)) return false;
+  const cluster::Command lock = cluster::Command::federation_lock(vm);
+  cluster::Outcome out = src.check(lock);
+  if (out.ok()) out = dst.check(cluster::Command::power(to_host, true));
+  if (!out.ok()) return out;
+  (void)src.apply(lock);
   const FedVmId fed = local_fed_[from_shard][vm];
-  if (flights_.contains(fed)) return false;
+  // A VM in a link flight is locked or departed on its source shard.
+  assert(!flights_.contains(fed));
 
   Link& link = link_between(from_shard, to_shard);
   const cluster::HostId from_host = src.residence(vm);
@@ -124,18 +129,16 @@ bool Federation::migrate(ShardId from_shard, cluster::GlobalVmId vm, ShardId to_
   const platform::HostClass& dst_cls = dst.host_class(to_host);
   const cluster::ClusterVmConfig cfg = src.vm_config(vm);
 
-  // Fence the shard manager off the VM, then register the destination end
-  // (slot parked, SLA registered, host powered, state kInbound).
-  src.set_federation_lock(vm, true);
+  // Register the destination end (slot parked, SLA registered, host
+  // powered, state kInbound).
   const cluster::GlobalVmId dst_vm = dst.admit_inbound(cfg, to_host);
   local_fed_[to_shard].resize(dst.vm_count(), 0);
   local_fed_[to_shard][dst_vm] = fed;
 
   cluster::MigrationEngine::Endpoint source{&src.host(from_host), src.home_slot(vm),
-                                            &src.agent(from_host), 0};
-  cluster::MigrationEngine::Endpoint dest{&dst.host(to_host),
-                                          dst.slot_on(to_host, dst_vm),
-                                          &dst.agent(to_host), 0};
+                                            &src.agent(from_host)};
+  cluster::MigrationEngine::Endpoint dest{&dst.host(to_host), dst.slot_on(to_host, dst_vm),
+                                          &dst.agent(to_host)};
   flights_.emplace(fed, FedFlight{fed, from_shard, to_shard, vm, dst_vm, from_host,
                                   to_host, link.model.kind, cfg.memory_mb});
   pending_in_mb_[to_shard] += cfg.memory_mb;
@@ -145,12 +148,12 @@ bool Federation::migrate(ShardId from_shard, cluster::GlobalVmId vm, ShardId to_
   link.engine->begin(
       fed, global_host_id(from_shard, from_host), global_host_id(to_shard, to_host),
       source, dest, cfg.memory_mb,
-      cfg.dirty_mb_per_s * link.model.dirty_factor(src_cls, dst_cls), cfg.vm.credit,
-      now_, [this, fed](const cluster::MigrationRecord& r) { on_link_done(fed, r); },
+      cfg.dirty_mb_per_s * link.model.dirty_factor(src_cls, dst_cls), now_,
+      [this, fed](const cluster::MigrationRecord& r) { on_link_done(fed, r); },
       [this, fed](const cluster::MigrationRecord&) { on_link_detach(fed); },
       link.model.switch_penalty(src_cls, dst_cls));
   ++moves_issued_;
-  return true;
+  return out;
 }
 
 void Federation::on_link_detach(FedVmId vm) {
@@ -185,7 +188,7 @@ void Federation::set_link_bandwidth(ShardId a, ShardId b, double mb_per_s) {
   link.model.migration.link_mb_per_s = mb_per_s;
   // Re-plans this link's in-flight pre-copies and nobody else's — each
   // link is its own engine, so the isolation is structural.
-  link.engine->set_link_bandwidth(mb_per_s, now_);
+  link.engine->set_link_bandwidth(mb_per_s);
 }
 
 Federation::ShardLoad Federation::shard_load(ShardId s) const {
@@ -249,16 +252,16 @@ void Federation::planner_tick(common::SimTime /*now*/) {
     }
     if (!have_host) break;
 
-    // Candidate: the most-loaded shard's largest running, unfenced VM that
-    // fits the chosen destination (ties to the lowest id).
+    // Candidate: the most-loaded shard's largest lockable VM (running, in
+    // no flight, unfenced) that fits the chosen destination (ties to the
+    // lowest id).
     const cluster::Cluster& srcc = *shards_[hi];
     bool have_vm = false;
     cluster::GlobalVmId best_vm = 0;
     double best_mem = 0.0;
     const auto nv = static_cast<cluster::GlobalVmId>(srcc.vm_count());
     for (cluster::GlobalVmId g = 0; g < nv; ++g) {
-      if (srcc.vm_state(g) != cluster::VmState::kRunning) continue;
-      if (srcc.migrating(g) || srcc.federation_locked(g)) continue;
+      if (!srcc.check(cluster::Command::federation_lock(g)).ok()) continue;
       const double mem = srcc.vm_config(g).memory_mb;
       if (mem > best_free) continue;
       if (!have_vm || mem > best_mem) {
@@ -268,7 +271,7 @@ void Federation::planner_tick(common::SimTime /*now*/) {
       }
     }
     if (!have_vm) break;
-    if (!migrate(hi, best_vm, lo, best_host)) break;
+    if (!migrate(hi, best_vm, lo, best_host).ok()) break;
     --budget;
     // Book the move against this tick's aggregates so the loop converges
     // instead of re-picking the same pair forever.

@@ -31,8 +31,8 @@
 // delivering both into the destination — and the federation's callbacks
 // keep the shard bookkeeping honest: mark_departed at detach,
 // complete_inbound (with the SLA-charged pause) at attach. The source
-// shard's manager is fenced off the VM for the flight's duration via
-// Cluster::set_federation_lock.
+// shard's manager is fenced off the VM for the flight's duration by a
+// federation_lock command.
 //
 // Planner: each tick reads per-shard aggregates — host memory and running
 // VMs' memory summed over the shard manager's last-planned live set
@@ -119,11 +119,13 @@ class Federation {
 
   /// Starts a cross-shard live migration of `vm` (source-shard id) onto
   /// `to_host` in `to_shard`, over the pair's link. Same-shard calls
-  /// apply the shard's own migrate command (the intra-rack tier). Returns
-  /// false if the VM is not running, already in flight (either tier), or
-  /// the destination is crashed. Callable from planner ticks and between
-  /// run_until calls.
-  bool migrate(ShardId from_shard, cluster::GlobalVmId vm, ShardId to_shard,
+  /// apply the shard's own migrate command (the intra-rack tier). A
+  /// cross-shard move is refused with the source shard's federation_lock
+  /// verdict (the VM is not running, in a shard flight, or already locked
+  /// by a link flight) or the destination shard's power-on verdict (the
+  /// host crashed). Callable from planner ticks and between run_until
+  /// calls.
+  cluster::Outcome migrate(ShardId from_shard, cluster::GlobalVmId vm, ShardId to_shard,
                cluster::HostId to_host);
 
   /// Re-prices one link at runtime. a == b sets shard a's INTERNAL link

@@ -4,6 +4,10 @@
 #include <cassert>
 #include <span>
 #include <stdexcept>
+#include <string>
+
+#include "core/compensation.hpp"
+#include "workload/synthetic.hpp"
 
 namespace pas::hv {
 
@@ -21,10 +25,16 @@ Host::Host(HostConfig config, std::unique_ptr<Scheduler> scheduler)
 
 Host::~Host() = default;
 
-common::VmId Host::add_vm(VmConfig config, std::unique_ptr<wl::Workload> workload) {
+void Host::require_segment_boundary(const char* op) const {
   if (advancing_.load(std::memory_order_relaxed))
-    throw std::logic_error("Host: add_vm while the host is advancing "
-                           "(cross-host mutation must wait for the segment boundary)");
+    throw std::logic_error(std::string("Host: ")
+                               .append(op)
+                               .append(" while the host is advancing "
+                                       "(cross-host mutation must wait for the segment boundary)"));
+}
+
+common::VmId Host::add_vm(VmConfig config, std::unique_ptr<wl::Workload> workload) {
+  require_segment_boundary("add_vm");
   if (workload == nullptr) throw std::invalid_argument("Host: workload required");
   const auto id = static_cast<common::VmId>(vms_.size());
   Vm vm;
@@ -59,9 +69,7 @@ common::VmId Host::add_vm(VmConfig config, std::unique_ptr<wl::Workload> workloa
 
 std::unique_ptr<wl::Workload> Host::swap_workload(common::VmId id,
                                                   std::unique_ptr<wl::Workload> replacement) {
-  if (advancing_.load(std::memory_order_relaxed))
-    throw std::logic_error("Host: swap_workload while the host is advancing "
-                           "(cross-host mutation must wait for the segment boundary)");
+  require_segment_boundary("swap_workload");
   if (replacement == nullptr) throw std::invalid_argument("Host: replacement workload required");
   Vm& vm = vms_.at(id);
   std::unique_ptr<wl::Workload> old = std::move(vm.workload);
@@ -71,10 +79,31 @@ std::unique_ptr<wl::Workload> Host::swap_workload(common::VmId id,
   return old;
 }
 
+Host::DetachedGuest Host::detach_guest(common::VmId slot) {
+  DetachedGuest guest;
+  guest.workload = swap_workload(slot, std::make_unique<wl::IdleGuest>());
+  guest.balance = scheduler_->export_credit(slot);
+  scheduler_->set_cap(slot, 0.0);
+  scheduler_->import_credit(slot, common::SimTime{});
+  return guest;
+}
+
+void Host::attach_guest(common::VmId slot, std::unique_ptr<wl::Workload> workload,
+                        common::SimTime balance) {
+  (void)swap_workload(slot, std::move(workload));
+  recap(slot);
+  scheduler_->import_credit(slot, balance);
+}
+
+void Host::recap(common::VmId slot) {
+  require_segment_boundary("recap");
+  activity_dirty_ = true;
+  scheduler_->set_cap(slot, core::compensated_credit(vms_.at(slot).config.credit, cpu_.ladder(),
+                                                     cpu_.current_index()));
+}
+
 void Host::notify_workload_changed(common::VmId id) {
-  if (advancing_.load(std::memory_order_relaxed))
-    throw std::logic_error("Host: notify_workload_changed while the host is advancing "
-                           "(cross-host mutation must wait for the segment boundary)");
+  require_segment_boundary("notify_workload_changed");
   if (id >= vms_.size()) throw std::out_of_range("Host: bad VM id");
   activity_dirty_ = true;
   if (!tasks_installed_) return;  // the first quantum polls everything anyway

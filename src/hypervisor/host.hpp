@@ -30,9 +30,10 @@
 // while advancing — scheduler, CPU/power models, workloads, event queue,
 // meters — and run_until reads and writes nothing outside the object.
 // Conversely, NOTHING outside may mutate the host between the entry and
-// exit of run_until: swap_workload, notify_workload_changed and agent
-// work injection are segment-boundary operations, legal only while no
-// run_until is in flight. The contract is enforced, not just documented —
+// exit of run_until: swap_workload, the guest hand-off (detach_guest,
+// attach_guest), notify_workload_changed and agent work injection are
+// segment-boundary operations, legal only while no run_until is in
+// flight. The contract is enforced, not just documented —
 // those mutators throw std::logic_error when called mid-advance (see
 // docs/ARCHITECTURE.md, "parallel ≡ serial").
 #pragma once
@@ -134,17 +135,41 @@ class Host {
   /// never correctness.
   void skip_idle_to(common::SimTime target);
 
-  /// Replaces a VM slot's workload and returns the previous one — the
-  /// mechanism behind live migration: the cluster layer detaches a guest
-  /// from its source slot (parking an idle placeholder there) and attaches
-  /// it into a slot on the destination host. Callable between run_until
-  /// calls only (hosts in a cluster are always synchronized to a common
-  /// instant at that point); calling it mid-advance throws std::logic_error
-  /// — the no-shared-state contract. The fast path's cached runnable state for the
-  /// slot is invalidated, so the next quantum re-polls the new workload
-  /// exactly as the slow-stepped loop would.
+  /// Replaces a VM slot's workload and returns the previous one, leaving
+  /// cap and balance alone (a guest moving between slots goes through
+  /// detach_guest/attach_guest, which carry its credit too). Callable
+  /// between run_until calls only (hosts in a cluster are always
+  /// synchronized to a common instant at that point); calling it
+  /// mid-advance throws std::logic_error — the no-shared-state contract.
+  /// The fast path's cached runnable state for the slot is invalidated, so
+  /// the next quantum re-polls the new workload exactly as the
+  /// slow-stepped loop would.
   std::unique_ptr<wl::Workload> swap_workload(common::VmId id,
                                               std::unique_ptr<wl::Workload> replacement);
+
+  /// A guest lifted off its slot: the workload and the credit balance it
+  /// held there.
+  struct DetachedGuest {
+    std::unique_ptr<wl::Workload> workload;
+    common::SimTime balance{};
+  };
+
+  /// Takes the guest off `slot`: an IdleGuest parks there, the balance is
+  /// read (Scheduler::export_credit), and cap and balance drop to zero, so
+  /// credit exists in one place only and refills stop minting into the
+  /// empty slot. Segment-boundary only, like swap_workload.
+  DetachedGuest detach_guest(common::VmId slot);
+
+  /// Puts `workload` into `slot`, capped by recap() and over `balance`
+  /// (Scheduler::import_credit, which replaces the slot's balance).
+  /// Segment-boundary only, like swap_workload.
+  void attach_guest(common::VmId slot, std::unique_ptr<wl::Workload> workload,
+                    common::SimTime balance);
+
+  /// Eq. 4: caps `slot` at its purchased VmConfig::credit compensated for
+  /// the current P-state, so the VM keeps the computing capacity it bought.
+  /// Segment-boundary only, like swap_workload.
+  void recap(common::VmId slot);
 
   /// Declares that a workload's state was changed externally (work injected
   /// into a hypervisor agent, a profile rewritten): the fast path drops its
@@ -212,6 +237,9 @@ class Host {
     kOverCap,     // runnable VMs remained but every one was over its cap
   };
 
+  /// Throws std::logic_error naming `op` while run_until is in flight (the
+  /// no-shared-state contract).
+  void require_segment_boundary(const char* op) const;
   void install_periodic_tasks();
   void run_quantum(common::SimTime slice_end);
   /// Re-polls workloads whose transition hint expired (or that just ran)

@@ -172,14 +172,15 @@ class Scheduler {
   /// with it (today: the credit balance, a *time* share — see
   /// common/units.hpp).
   ///
-  /// Call sequence during a migration (cluster::MigrationEngine): at the
-  /// stop-and-copy pause the engine reads export_credit(vm) on the SOURCE
-  /// host's scheduler (a pure read — it must not mutate), records it in
-  /// the MigrationRecord (credit_exported), then drains the source slot
-  /// itself via import_credit(vm, 0) + set_cap(vm, 0) so credit exists in
-  /// exactly one place and refills stop minting into the empty slot. At
-  /// attach time it calls import_credit(vm, exported) on the DESTINATION
-  /// host's scheduler (credit_imported). The conservation contract: export
+  /// Call sequence during a migration (cluster::MigrationEngine, through
+  /// Host::detach_guest/attach_guest): at the stop-and-copy pause the
+  /// SOURCE host reads export_credit(vm) (a pure read — it must not
+  /// mutate), which the engine records in the MigrationRecord
+  /// (credit_exported), then drains the slot via set_cap(vm, 0) +
+  /// import_credit(vm, 0) so credit exists in exactly one place and
+  /// refills stop minting into the empty slot. At attach time the
+  /// DESTINATION host re-caps the slot and calls import_credit(vm,
+  /// exported) (credit_imported). The conservation contract: export
   /// on A == import on B, credit neither minted nor burned in flight.
   /// import_credit therefore REPLACES the slot's balance (no merge, no
   /// clamp to burst limits — a migrating VM must not lose credit in

@@ -50,7 +50,7 @@ std::unique_ptr<Cluster> build_fleet() {
   EXPECT_TRUE(c->apply(Command::stop_vm(2)).ok());
   EXPECT_TRUE(c->apply(Command::crash_host(3, /*restart_orphans=*/true)).ok());
   EXPECT_TRUE(c->apply(Command::mark_lost(4)).ok());
-  c->set_federation_lock(5, true);
+  EXPECT_TRUE(c->apply(Command::federation_lock(5)).ok());
   c->mark_departed(6);
   EXPECT_EQ(c->admit_inbound(guest(), 1), 7u);
   c->run_until(seconds(20));
@@ -98,6 +98,14 @@ const std::vector<Rung>& fleet_rungs() {
       {Command::stop_vm(2), kRej, "vm 2 already stopped"},
       {Command::stop_vm(1), kRej, "vm 1 in flight"},
       {Command::stop_vm(5), kRej, "vm 5 locked by a federation flight"},
+      // federation_lock
+      {Command::federation_lock(4), kSup, "vm 4 lost"},
+      {Command::federation_lock(3), kSup, "vm 3 orphaned by a crash"},
+      {Command::federation_lock(6), kSup, "vm 6 departed to another shard"},
+      {Command::federation_lock(7), kRej, "vm 7 inbound from another shard"},
+      {Command::federation_lock(2), kRej, "vm 2 is stopped"},
+      {Command::federation_lock(1), kRej, "vm 1 in flight"},
+      {Command::federation_lock(5), kRej, "vm 5 locked by a federation flight"},
       // start_vm
       {Command::start_vm(4, 2), kSup, "vm 4 lost"},
       {Command::start_vm(3, 2), kSup, "vm 3 orphaned by a crash"},
@@ -212,6 +220,8 @@ TEST(ClusterCommandTest, PassingCommandsAreOkAndAct) {
   EXPECT_EQ(c->residence(0), 2u);
   ok(*c, Command::restart_vm(3, 2));
   EXPECT_EQ(c->vm_state(3), VmState::kRunning);
+  ok(*c, Command::federation_lock(3));
+  EXPECT_TRUE(c->federation_locked(3));
   ok(*c, Command::set_link_bandwidth(50.0));
   EXPECT_EQ(c->link_bandwidth(), 50.0);
   ok(*c, Command::abort_oldest_migration());

@@ -352,13 +352,13 @@ TEST(MigrationEngineTest, BeginRefusesDoubleFlightNamingTheVm) {
   // (slots are lazy) and none is needed — begin() only schedules events,
   // and this test never advances the queue.
   const MigrationEngine::Endpoint src{&cluster.host(0), cluster.home_slot(vm),
-                                      &cluster.agent(0), 0};
+                                      &cluster.agent(0)};
   const MigrationEngine::Endpoint dst{&cluster.host(1), cluster.home_slot(vm),
-                                      &cluster.agent(1), 0};
+                                      &cluster.agent(1)};
   const auto noop = [](const MigrationRecord&) {};
-  (void)engine.begin(vm, 0, 1, src, dst, 256.0, 10.0, 10.0, SimTime{}, noop);
+  (void)engine.begin(vm, 0, 1, src, dst, 256.0, 10.0, SimTime{}, noop);
   try {
-    (void)engine.begin(vm, 0, 1, src, dst, 256.0, 10.0, 10.0, SimTime{}, noop);
+    (void)engine.begin(vm, 0, 1, src, dst, 256.0, 10.0, SimTime{}, noop);
     FAIL() << "double begin must throw";
   } catch (const std::logic_error& e) {
     EXPECT_NE(std::string{e.what()}.find("VM " + std::to_string(vm)), std::string::npos)

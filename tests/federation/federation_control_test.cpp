@@ -58,15 +58,18 @@ std::unique_ptr<cluster::Cluster> shard(std::size_t vms, std::vector<ctl::Task> 
   return c;
 }
 
+/// "<status>[: <reason>]".
+std::string verdict(cluster::Status status, const std::string& reason) {
+  std::string line = ctl::to_string(status);
+  if (!reason.empty()) line.append(": ").append(reason);
+  return line;
+}
+
 /// "<id> <status>[: <reason>]" per fired task.
 std::vector<std::string> verdicts(const cluster::Cluster& c) {
   std::vector<std::string> out;
-  for (const ctl::TaskResult& r : c.control()->results()) {
-    std::string line = std::to_string(r.id);
-    line.append(" ").append(ctl::to_string(r.status));
-    if (!r.reason.empty()) line.append(": ").append(r.reason);
-    out.push_back(std::move(line));
-  }
+  for (const ctl::TaskResult& r : c.control()->results())
+    out.push_back(std::to_string(r.id).append(" ").append(verdict(r.status, r.reason)));
   return out;
 }
 
@@ -96,9 +99,16 @@ TEST(FederationControlTest, FederationOwnedVmsAreRefusedBeforeAdmission) {
   Federation fed(fc, std::move(shards));
 
   fed.run_until(seconds(105));
-  ASSERT_TRUE(fed.migrate(0, 0, 1, 1));
+  ASSERT_TRUE(fed.migrate(0, 0, 1, 1).ok());
+  const cluster::Outcome again = fed.migrate(0, 0, 1, 1);
+  EXPECT_EQ(verdict(again.status, again.reason), "rejected: vm 0 locked by a federation flight");
   fed.run_until(seconds(300));
   ASSERT_EQ(fed.cross_shard_records().size(), 1u);
+
+  // The destination shard words a crashed host's refusal.
+  ASSERT_TRUE(fed.shard(1).apply(cluster::Command::crash_host(1, true)).ok());
+  const cluster::Outcome crashed = fed.migrate(0, 1, 1, 1);
+  EXPECT_EQ(verdict(crashed.status, crashed.reason), "superseded: host 1 crashed");
 
   const std::vector<std::string> expected_source = {
       "1 rejected: vm 0 locked by a federation flight",

@@ -92,7 +92,7 @@ TEST(FederationLinkTest, SameClassWanFlightMatchesPurePlan) {
   Federation fed = two_shard_fed("host", "host");
   EXPECT_EQ(fed.link(0, 1).kind, LinkKind::kWan) << "empty racks = all-WAN";
   fed.run_until(seconds(5));
-  ASSERT_TRUE(fed.migrate(0, 0, 1, 1));
+  ASSERT_TRUE(fed.migrate(0, 0, 1, 1).ok());
   EXPECT_TRUE(fed.in_cross_shard_flight(0));
   fed.run_until(seconds(60));
 
@@ -129,7 +129,7 @@ TEST(FederationLinkTest, CrossClassFlightPaysDirtyAndSwitchSurcharge) {
   Federation fed = two_shard_fed("xeon", "optiplex");
   const LinkModel& wan = fed.link(0, 1);
   fed.run_until(seconds(5));
-  ASSERT_TRUE(fed.migrate(0, 0, 1, 1));
+  ASSERT_TRUE(fed.migrate(0, 0, 1, 1).ok());
   fed.run_until(seconds(60));
 
   // The engine saw the stretched dirty rate AND the extra switch pause.
@@ -147,7 +147,7 @@ TEST(FederationLinkTest, CrossClassFlightPaysDirtyAndSwitchSurcharge) {
   // residue — so the cost claim is total transfer and completion time.)
   Federation same = two_shard_fed("xeon", "xeon");
   same.run_until(seconds(5));
-  ASSERT_TRUE(same.migrate(0, 0, 1, 1));
+  ASSERT_TRUE(same.migrate(0, 0, 1, 1).ok());
   same.run_until(seconds(60));
   ASSERT_EQ(same.cross_shard_records().size(), 1u);
   const cluster::MigrationRecord& cheap = same.cross_shard_records().front().record;
@@ -192,8 +192,8 @@ TEST(FederationLinkTest, BandwidthChangeIsScopedToOneLink) {
   Federation control = build();
   for (Federation* fed : {&degraded, &control}) {
     fed->run_until(seconds(5));
-    ASSERT_TRUE(fed->migrate(0, 0, 1, 0));  // guest 0 over link (0,1)
-    ASSERT_TRUE(fed->migrate(0, 1, 2, 0));  // guest 1 over link (0,2)
+    ASSERT_TRUE(fed->migrate(0, 0, 1, 0).ok());  // guest 0 over link (0,1)
+    ASSERT_TRUE(fed->migrate(0, 1, 2, 0).ok());  // guest 1 over link (0,2)
     fed->run_until(seconds(6));
   }
   // Mid pre-copy (512 MB at 100 MB/s spans [5, 10.12]): halve ONE link.
@@ -232,15 +232,15 @@ TEST(FederationLinkTest, SelfLinkBandwidthReachesTheShardEngine) {
 TEST(FederationLinkTest, FlightGuardsRefuseConflictingMoves) {
   Federation fed = two_shard_fed("host", "host");
   fed.run_until(seconds(5));
-  ASSERT_TRUE(fed.migrate(0, 0, 1, 1));
+  ASSERT_TRUE(fed.migrate(0, 0, 1, 1).ok());
   // In flight: neither tier may touch the VM until the link is done.
-  EXPECT_FALSE(fed.migrate(0, 0, 1, 0)) << "double cross-shard move";
+  EXPECT_FALSE(fed.migrate(0, 0, 1, 0).ok()) << "double cross-shard move";
   EXPECT_FALSE(fed.shard(0).apply(cluster::Command::migrate(0, 1)).ok())
       << "shard-local move of a fed-locked VM";
   EXPECT_TRUE(fed.shard(0).federation_locked(0));
   fed.run_until(seconds(60));
   // Completed: the source-side id is departed — also not migratable.
-  EXPECT_FALSE(fed.migrate(0, 0, 1, 0));
+  EXPECT_FALSE(fed.migrate(0, 0, 1, 0).ok());
 }
 
 }  // namespace

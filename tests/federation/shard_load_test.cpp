@@ -75,7 +75,7 @@ TEST(ShardLoadTest, ReadsTheLastPlannedLiveSet) {
   fed.run_until(seconds(11));
   ASSERT_TRUE(s0.apply(cluster::Command::crash_host(1, /*restart_orphans=*/false)).ok());
   expect_load(2 * mem, 1400.0, "crash between ticks does not show");
-  ASSERT_TRUE(fed.migrate(0, a, 1, 0));
+  ASSERT_TRUE(fed.migrate(0, a, 1, 0).ok());
   fed.run_until(seconds(19));
   ASSERT_EQ(s0.vm_state(a), cluster::VmState::kDeparted);
   expect_load(2 * mem, 1400.0, "departure between ticks does not show");
