@@ -93,10 +93,10 @@
 // of them AND the cross-shard migration ledgers must match — gated
 // always, smoke included. With K = 1 the federation must degrade
 // byte-exactly to the bench's own single-cluster fast run (it schedules
-// no federation events at all). Shard count, cross-shard census per link
-// kind and sim-s/wall-s land in the `federation{...}` JSON block;
-// --require-federation-rate puts a floor on the federated rate (full
-// runs only, --smoke exempt).
+// no federation events at all). Shard count, the shard-internal and
+// cross-shard migration census and sim-s/wall-s land in the
+// `federation{...}` JSON block; --require-federation-rate puts a floor
+// on the federated rate (full runs only, --smoke exempt).
 //
 // Identity verdicts are tri-state throughout: a `*_identical` JSON field
 // is true/false only when its comparison actually executed, and null when
@@ -474,26 +474,19 @@ Json federation_tier(Bench& b) {
   if (fc.shards == 1)
     b.r.federation.add("K=1 vs bare cluster", first_divergence(*b.fast, d.fast->shard(0)));
   b.r.federation_rate = rate(b.horizon, d.fast_wall);
-  // Cross-shard census by link kind; intra-rack = the shards' own moves.
-  std::size_t wan = 0;
-  for (const pas::fed::FedMigrationRecord& r : d.fast->cross_shard_records())
-    if (r.link == pas::fed::LinkKind::kWan) ++wan;
-  std::size_t intra = 0;
+  // Migration census: the shards' own moves beside the cross-shard ones.
+  std::size_t shard_moves = 0;
   std::size_t vms = 0;
   for (pas::fed::ShardId s = 0; s < d.fast->shard_count(); ++s) {
-    intra += d.fast->shard(s).migrations().size();
+    shard_moves += d.fast->shard(s).migrations().size();
     vms += d.fast->shard(s).vm_count();
   }
-  const std::size_t cross_shard = d.fast->cross_shard_records().size();
   return std::move(Json{}
                        .count("shards", fc.shards)
                        .count("vms", vms)
                        .count("planner_ticks", d.fast->planner_ticks())
-                       .count("cross_shard_migrations", cross_shard)
-                       .obj("links", Json{}
-                                         .count("intra_rack", intra)
-                                         .count("cross_rack", cross_shard - wan)
-                                         .count("wan", wan))
+                       .count("shard_migrations", shard_moves)
+                       .count("cross_shard_migrations", d.fast->cross_shard_records().size())
                        .num("wall_seconds", d.fast_wall, 6)
                        .num("sim_per_wall", *b.r.federation_rate, 1)
                        .verdict("federation_identical", b.r.federation.identical));

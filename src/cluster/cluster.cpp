@@ -15,38 +15,19 @@ namespace pas::cluster {
 
 namespace {
 
-/// One platform class per host: the configured list verbatim, or
-/// host_count clones synthesized from the template. The uniform scalars
-/// are 0-defaulted ("unset"), so a scalar that was actually set alongside
-/// a class list is detectable — and rejected — rather than silently losing
-/// to it.
-std::vector<platform::HostClass> resolve_classes(const ClusterConfig& cfg) {
-  if (!cfg.host_classes.empty()) {
-    if (cfg.host_count != 0 && cfg.host_count != cfg.host_classes.size())
-      throw std::invalid_argument("Cluster: host_count contradicts host_classes");
-    if (cfg.host_memory_mb != 0.0)
-      throw std::invalid_argument(
-          "Cluster: host_memory_mb contradicts host_classes; set memory per class");
-    for (const auto& c : cfg.host_classes) {
-      if (c.memory_mb <= 0.0)
-        throw std::invalid_argument("Cluster: class memory must be positive");
-      if (c.numa_nodes == 0)
-        throw std::invalid_argument("Cluster: class needs at least one NUMA node");
-      if (c.numa_spill_penalty < 0.0)
-        throw std::invalid_argument("Cluster: negative NUMA spill penalty");
-    }
-    return cfg.host_classes;
+/// The configured fleet, validated: one class per host.
+const std::vector<platform::HostClass>& validate_classes(const ClusterConfig& cfg) {
+  if (cfg.host_classes.empty())
+    throw std::invalid_argument("Cluster: need at least one host class");
+  for (const auto& c : cfg.host_classes) {
+    if (c.memory_mb <= 0.0)
+      throw std::invalid_argument("Cluster: class memory must be positive");
+    if (c.numa_nodes == 0)
+      throw std::invalid_argument("Cluster: class needs at least one NUMA node");
+    if (c.numa_spill_penalty < 0.0)
+      throw std::invalid_argument("Cluster: negative NUMA spill penalty");
   }
-  if (cfg.host_count == 0)
-    throw std::invalid_argument("Cluster: need at least one host (or host_classes)");
-  if (cfg.host_memory_mb < 0.0)
-    throw std::invalid_argument("Cluster: host memory must be positive");
-  platform::HostClass c;
-  c.name = "host";
-  c.ladder = cfg.host.ladder;
-  c.power = cfg.host.power;
-  c.memory_mb = cfg.host_memory_mb == 0.0 ? 4096.0 : cfg.host_memory_mb;
-  return std::vector<platform::HostClass>(cfg.host_count, c);
+  return cfg.host_classes;
 }
 
 }  // namespace
@@ -73,26 +54,27 @@ RecoveryStats summarize_recoveries(const std::vector<VmRecovery>& recoveries) {
 }
 
 Cluster::Cluster(ClusterConfig config)
-    : cfg_(std::move(config)), classes_(resolve_classes(cfg_)), meter_(classes_.size()) {
+    : cfg_(std::move(config)), meter_(validate_classes(cfg_).size()) {
   engine_ = std::make_unique<MigrationEngine>(cfg_.migration, events_);
-  crashed_.assign(classes_.size(), 0);
-  host_slots_.resize(classes_.size());
+  const std::size_t n = cfg_.host_classes.size();
+  crashed_.assign(n, 0);
+  host_slots_.resize(n);
 
   const std::size_t executors = cfg_.execution.threads == 0
                                     ? common::ThreadPool::hardware_threads()
                                     : cfg_.execution.threads;
   if (executors > 1) pool_ = std::make_unique<common::ThreadPool>(executors);
 
-  hosts_.reserve(classes_.size());
-  agents_.reserve(classes_.size());
-  for (std::size_t h = 0; h < classes_.size(); ++h) {
+  hosts_.reserve(n);
+  agents_.reserve(n);
+  for (std::size_t h = 0; h < n; ++h) {
     auto scheduler = cfg_.make_scheduler ? cfg_.make_scheduler()
                                          : std::make_unique<sched::CreditScheduler>();
     // Each host is built from its class: the shared template supplies the
     // timing knobs, the class supplies the machine (ladder + power model).
     hv::HostConfig hc = cfg_.host;
-    hc.ladder = classes_[h].ladder;
-    hc.power = classes_[h].power;
+    hc.ladder = cfg_.host_classes[h].ladder;
+    hc.power = cfg_.host_classes[h].power;
     auto host = std::make_unique<hv::Host>(std::move(hc), std::move(scheduler));
     hv::VmConfig agent_cfg;
     agent_cfg.name = "hv-agent-" + std::to_string(h);

@@ -128,23 +128,15 @@ struct EngineStats {
 
 struct ClusterConfig {
   /// Template applied to every host (quantum, monitor window, trace stride,
-  /// event_driven_fast_path, ...). With a uniform fleet it also supplies
-  /// the ladder and power model; with `host_classes` those come per host
-  /// from each class.
+  /// event_driven_fast_path, ...). Its ladder and power model are ignored:
+  /// each host takes both from its class.
   hv::HostConfig host;
   ExecutionPolicy execution;
-  /// Per-host platform classes: entry h defines host h's frequency ladder,
-  /// power model, memory, planner capacity and NUMA layout. Non-empty
-  /// defines the fleet — the constructor throws if host_count (other than
-  /// host_classes.size()) or host_memory_mb is ALSO set: a lone scalar
-  /// must not silently contradict mixed classes.
+  /// The fleet, one platform class per host: entry h defines host h's
+  /// frequency ladder, power model, memory, planner capacity and NUMA
+  /// layout. Must be non-empty; a uniform fleet is
+  /// platform::uniform_fleet_classes(n, cls).
   std::vector<platform::HostClass> host_classes;
-  /// Uniform-fleet shape, used when host_classes is empty: host_count
-  /// clones of the `host` template with host_memory_mb of memory each.
-  /// 0 = unset (host_count is then required only without classes;
-  /// host_memory_mb falls back to 4096).
-  std::size_t host_count = 0;
-  double host_memory_mb = 0.0;
   MigrationConfig migration;
   /// Factory for each host's scheduler; defaults to the paper's credit
   /// scheduler when empty.
@@ -342,17 +334,14 @@ class Cluster {
   [[nodiscard]] const hv::Host& host(HostId id) const { return *hosts_.at(id); }
   [[nodiscard]] const ClusterConfig& config() const { return cfg_; }
   [[nodiscard]] double link_bandwidth() const { return engine_->config().link_mb_per_s; }
-  /// The platform class host `id` was built from. Always populated: a
-  /// uniform fleet synthesizes one class per host from the template, so
-  /// planners can consume per-host classes without caring how the fleet
-  /// was configured.
+  /// The platform class host `id` was built from.
   [[nodiscard]] const platform::HostClass& host_class(HostId id) const {
-    return classes_.at(id);
+    return cfg_.host_classes.at(id);
   }
   /// Physical memory of host `id` (its class's) — the planner's binding
   /// resource.
   [[nodiscard]] double host_memory_mb(HostId id) const {
-    return classes_.at(id).memory_mb;
+    return cfg_.host_classes.at(id).memory_mb;
   }
   [[nodiscard]] const ClusterVmConfig& vm_config(GlobalVmId vm) const {
     return vm_cfgs_.at(vm);
@@ -380,6 +369,11 @@ class Cluster {
   /// VMs currently awaiting recovery, in ascending id order (the
   /// deterministic order the manager's recovery pass walks).
   [[nodiscard]] std::vector<GlobalVmId> orphaned_vms() const;
+  /// The crash instant that last orphaned `vm` (meaningful while it is
+  /// kOrphaned): a VM restarted and orphaned again reads a new instant.
+  [[nodiscard]] common::SimTime orphaned_at(GlobalVmId vm) const {
+    return held_since_.at(vm);
+  }
   [[nodiscard]] std::size_t running_vm_count() const;
   [[nodiscard]] std::size_t lost_vm_count() const;
   [[nodiscard]] const std::vector<VmRecovery>& recoveries() const { return recoveries_; }
@@ -451,9 +445,6 @@ class Cluster {
   void power(HostId host, bool on);
 
   ClusterConfig cfg_;
-  /// One class per host — cfg_.host_classes verbatim, or synthesized from
-  /// the uniform template.
-  std::vector<platform::HostClass> classes_;
   std::vector<std::unique_ptr<hv::Host>> hosts_;
   std::vector<HypervisorAgent*> agents_;  // slot 0 of each host, owned there
   std::unique_ptr<common::ThreadPool> pool_;  // null for the serial driver

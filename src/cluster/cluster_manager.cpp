@@ -111,6 +111,8 @@ void ClusterManager::recover_orphans(common::SimTime now, Cluster& cluster) {
   const std::vector<HostId> order = restart_order(cluster, cfg_.efficient_first);
   for (const GlobalVmId vm : orphans) {
     RetryState& retry = retry_[vm];
+    const common::SimTime orphaned_at = cluster.orphaned_at(vm);
+    if (retry.orphaned_at != orphaned_at) retry = RetryState{orphaned_at};
     if (now < retry.next_attempt) continue;
 
     // First-fit over live hosts by *reservations* (memory + purchased

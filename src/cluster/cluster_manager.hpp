@@ -162,7 +162,10 @@ class ClusterManager {
   void recover_orphans(common::SimTime now, Cluster& cluster);
   void apply_dvfs(Cluster& cluster);
 
+  /// Recovery progress of one orphaning: a VM orphaned again (after an
+  /// operator restart, say) reads a new orphaned_at and starts over.
   struct RetryState {
+    common::SimTime orphaned_at{};   // Cluster::orphaned_at this state counts for
     std::size_t attempts = 0;
     common::SimTime next_attempt{};  // earliest tick allowed to retry
   };

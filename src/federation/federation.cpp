@@ -13,13 +13,10 @@ Federation::Federation(FederationConfig config,
     : cfg_(std::move(config)), shards_(std::move(shards)) {
   if (shards_.empty())
     throw std::invalid_argument("Federation: need at least one shard");
-  if (!cfg_.racks.empty() && cfg_.racks.size() != shards_.size())
-    throw std::invalid_argument("Federation: racks must map every shard");
 
   const auto n = static_cast<ShardId>(shards_.size());
   host_base_.resize(n);
   local_fed_.resize(n);
-  pending_in_mb_.assign(n, 0.0);
   std::uint32_t base = 0;
   for (ShardId s = 0; s < n; ++s) {
     host_base_[s] = base;
@@ -33,31 +30,9 @@ Federation::Federation(FederationConfig config,
       vm_loc_.push_back({s, v});
     }
   }
-  // Every unordered pair gets its link up front: link() stays total and a
-  // runtime re-price can never invent a link that wasn't planned.
-  for (ShardId a = 0; a < n; ++a) {
-    for (ShardId b = a + 1; b < n; ++b) {
-      const bool same_rack = !cfg_.racks.empty() && cfg_.racks[a] == cfg_.racks[b];
-      Link link;
-      link.model = same_rack ? cfg_.cross_rack : cfg_.wan;
-      link.engine =
-          std::make_unique<cluster::MigrationEngine>(link.model.migration, events_);
-      links_.emplace(std::make_pair(a, b), std::move(link));
-    }
-  }
 }
 
 Federation::~Federation() = default;
-
-Federation::Link& Federation::link_between(ShardId a, ShardId b) {
-  if (a == b) throw std::invalid_argument("Federation: no self link");
-  return links_.at(a < b ? std::make_pair(a, b) : std::make_pair(b, a));
-}
-
-const LinkModel& Federation::link(ShardId a, ShardId b) const {
-  if (a == b) throw std::invalid_argument("Federation: no self link");
-  return links_.at(a < b ? std::make_pair(a, b) : std::make_pair(b, a)).model;
-}
 
 std::uint32_t Federation::global_host_id(ShardId shard, cluster::HostId host) const {
   return host_base_.at(shard) + host;
@@ -73,8 +48,8 @@ void Federation::advance_shards(common::SimTime target) {
 void Federation::run_until(common::SimTime until) {
   if (!started_) {
     // A single shard schedules NOTHING here: no planner (nothing to
-    // balance), no links. The loop below then degenerates to one
-    // advance_shards per call — byte-exact to driving the bare Cluster.
+    // balance), so no flights either. The loop below then degenerates to
+    // one advance_shards per call — byte-exact to driving the bare Cluster.
     if (shards_.size() > 1) {
       const common::SimTime p = cfg_.planner.period;
       planner_task_ = std::make_unique<sim::PeriodicTask>(
@@ -106,13 +81,13 @@ cluster::Outcome Federation::migrate(ShardId from_shard, cluster::GlobalVmId vm,
   if (from_shard >= shards_.size() || to_shard >= shards_.size())
     throw std::invalid_argument("Federation: bad shard id");
   cluster::Cluster& src = *shards_[from_shard];
-  // Same shard: the intra-rack tier, i.e. the shard's own engine.
+  // Same shard: the shard's own engine.
   if (from_shard == to_shard) return src.apply(cluster::Command::migrate(vm, to_host));
 
   // The source VM must be lockable (running, not in a shard flight, not
   // already locked) and the destination host able to power on (not
   // crashed); both shards word the refusal. The lock fences the shard
-  // manager off the VM until the link's detach departs it.
+  // manager off the VM until the flight's detach departs it.
   cluster::Cluster& dst = *shards_[to_shard];
   const cluster::Command lock = cluster::Command::federation_lock(vm);
   cluster::Outcome out = src.check(lock);
@@ -120,10 +95,9 @@ cluster::Outcome Federation::migrate(ShardId from_shard, cluster::GlobalVmId vm,
   if (!out.ok()) return out;
   (void)src.apply(lock);
   const FedVmId fed = local_fed_[from_shard][vm];
-  // A VM in a link flight is locked or departed on its source shard.
+  // A VM in a cross-shard flight is locked or departed on its source shard.
   assert(!flights_.contains(fed));
 
-  Link& link = link_between(from_shard, to_shard);
   const cluster::HostId from_host = src.residence(vm);
   const platform::HostClass& src_cls = src.host_class(from_host);
   const platform::HostClass& dst_cls = dst.host_class(to_host);
@@ -139,19 +113,17 @@ cluster::Outcome Federation::migrate(ShardId from_shard, cluster::GlobalVmId vm,
                                             &src.agent(from_host)};
   cluster::MigrationEngine::Endpoint dest{&dst.host(to_host), dst.slot_on(to_host, dst_vm),
                                           &dst.agent(to_host)};
-  flights_.emplace(fed, FedFlight{fed, from_shard, to_shard, vm, dst_vm, from_host,
-                                  to_host, link.model.kind, cfg.memory_mb});
-  pending_in_mb_[to_shard] += cfg.memory_mb;
-  // The link's own engine runs the classic pre-copy over the federation
-  // queue; class-aware surcharges land as a stretched dirty rate and a
-  // per-flight switch-over addition (which survives bandwidth re-plans).
-  link.engine->begin(
+  flights_.emplace(fed, FedMigrationRecord{fed, from_shard, to_shard, from_host, to_host,
+                                            vm, dst_vm, {}});
+  // The engine runs the classic pre-copy over the federation queue;
+  // class-aware surcharges land as a stretched dirty rate and a per-flight
+  // switch-over addition.
+  engine_.begin(
       fed, global_host_id(from_shard, from_host), global_host_id(to_shard, to_host),
-      source, dest, cfg.memory_mb,
-      cfg.dirty_mb_per_s * link.model.dirty_factor(src_cls, dst_cls), now_,
-      [this, fed](const cluster::MigrationRecord& r) { on_link_done(fed, r); },
+      source, dest, cfg.memory_mb, cfg.dirty_mb_per_s * link_.dirty_factor(src_cls, dst_cls),
+      now_, [this, fed](const cluster::MigrationRecord& r) { on_link_done(fed, r); },
       [this, fed](const cluster::MigrationRecord&) { on_link_detach(fed); },
-      link.model.switch_penalty(src_cls, dst_cls));
+      link_.switch_penalty(src_cls, dst_cls));
   ++moves_issued_;
   return out;
 }
@@ -159,36 +131,21 @@ cluster::Outcome Federation::migrate(ShardId from_shard, cluster::GlobalVmId vm,
 void Federation::on_link_detach(FedVmId vm) {
   // Stop-and-copy began: the engine drained the source slot; the source
   // shard now sees the VM as departed (no SLA, no planning, no recovery).
-  const FedFlight& f = flights_.at(vm);
+  const FedMigrationRecord& f = flights_.at(vm);
   shards_[f.from_shard]->mark_departed(f.src_vm);
 }
 
 void Federation::on_link_done(FedVmId vm, const cluster::MigrationRecord& record) {
   const auto it = flights_.find(vm);
-  const FedFlight f = it->second;
+  FedMigrationRecord f = std::move(it->second);
   flights_.erase(it);
-  pending_in_mb_[f.to_shard] -= f.memory_mb;
+  f.record = record;
   // The engine's attach already delivered workload + credit into the
   // destination slot; complete_inbound flips kInbound -> kRunning and
   // charges the pause.
   shards_[f.to_shard]->complete_inbound(f.dst_vm, record.downtime);
   vm_loc_[f.vm] = FedVmRef{f.to_shard, f.dst_vm};
-  records_.push_back(FedMigrationRecord{f.vm, f.from_shard, f.to_shard, f.from_host,
-                                        f.to_host, f.src_vm, f.dst_vm, f.link, record});
-}
-
-void Federation::set_link_bandwidth(ShardId a, ShardId b, double mb_per_s) {
-  if (a >= shards_.size() || b >= shards_.size())
-    throw std::invalid_argument("Federation: bad shard id");
-  if (a == b) {  // the shard's internal (intra-rack) link
-    (void)shards_[a]->apply(cluster::Command::set_link_bandwidth(mb_per_s));
-    return;
-  }
-  Link& link = link_between(a, b);
-  link.model.migration.link_mb_per_s = mb_per_s;
-  // Re-plans this link's in-flight pre-copies and nobody else's — each
-  // link is its own engine, so the isolation is structural.
-  link.engine->set_link_bandwidth(mb_per_s);
+  records_.push_back(std::move(f));
 }
 
 Federation::ShardLoad Federation::shard_load(ShardId s) const {
@@ -203,7 +160,12 @@ Federation::ShardLoad Federation::shard_load(ShardId s) const {
   ShardLoad load;
   for (const cluster::HostId h : live.hosts) load.capacity_mb += c.host_memory_mb(h);
   for (const cluster::GlobalVmId g : live.vms) load.reserved_mb += c.vm_config(g).memory_mb;
-  load.reserved_mb += pending_in_mb_.at(s);
+  // Memory in flight toward the shard (admitted kInbound, not yet
+  // attached), so concurrent planner ticks don't double-fill it.
+  double inbound_mb = 0.0;
+  for (const auto& [fed, f] : flights_)
+    if (f.to_shard == s) inbound_mb += c.vm_config(f.dst_vm).memory_mb;
+  load.reserved_mb += inbound_mb;
   return load;
 }
 
@@ -224,9 +186,7 @@ void Federation::planner_tick(common::SimTime /*now*/) {
       if (loads[s].utilization() < loads[lo].utilization()) lo = s;
     }
     if (hi == lo) break;
-    if (loads[hi].utilization() - loads[lo].utilization() <
-        cfg_.planner.imbalance_threshold)
-      break;
+    if (loads[hi].utilization() - loads[lo].utilization() < kImbalanceThreshold) break;
 
     // Destination: the least-loaded shard's live host with the most free
     // reserved memory (running + inbound residents subtracted; ties to the

@@ -1,7 +1,7 @@
 // Sharded multi-cluster federation: one coordinator over N Cluster shards
 // on a shared virtual clock, with a global planner tier above the
-// per-shard ClusterManagers and cross-shard live migrations priced per
-// link (see link_model.hpp).
+// per-shard ClusterManagers and cross-shard live migrations priced over
+// one WAN link (see link_model.hpp).
 //
 // Clock model — the cluster's lockstep contract, lifted one level: shards
 // never interact except through FEDERATION events (planner ticks, link
@@ -17,12 +17,14 @@
 // fixed, engine-independent order, so a federation run is byte-identical
 // across fast/slow paths and thread counts exactly like a single cluster.
 // With K = 1 the federation schedules NO events at all (nothing to
-// balance, no links), so its run loop degenerates to one run_until per
+// balance, no flights), so its run loop degenerates to one run_until per
 // call — byte-exact to driving the bare Cluster.
 //
 // Cross-shard migration reuses the cluster's MigrationEngine wholesale:
-// each unordered shard pair owns one engine built from its link's
-// MigrationConfig, scheduling on the FEDERATION queue (synced instants).
+// the federation owns one engine built from wan_link()'s MigrationConfig,
+// scheduling on the FEDERATION queue (synced instants). FedVmIds and
+// federation-global host ids key its flights, so no two shard pairs can
+// collide in it.
 // The flight's source endpoint is the guest's live slot in the source
 // shard; the destination endpoint is a slot admitted mid-run in the
 // destination shard (Cluster::admit_inbound, state kInbound). The engine
@@ -39,9 +41,9 @@
 // (ClusterManager::planned()), or over a direct scan of the live fleet
 // before the shard's first plan — and issues at most
 // max_cross_shard_per_tick moves from the most- to the least-utilized
-// shard while their reserved-memory utilization gap exceeds the
-// threshold. The global tier balances shard AGGREGATES; placement inside
-// a shard stays the shard manager's business.
+// shard while their reserved-memory utilization gap exceeds
+// kImbalanceThreshold. The global tier balances shard AGGREGATES;
+// placement inside a shard stays the shard manager's business.
 #pragma once
 
 #include <cstddef>
@@ -67,20 +69,14 @@ struct FederationPlannerConfig {
   /// Cross-shard migration budget per planner tick (mass WAN reshuffles
   /// are how federated fleets melt down).
   std::size_t max_cross_shard_per_tick = 2;
-  /// Minimum reserved-memory utilization gap (fraction of capacity)
-  /// between the most- and least-loaded shard before a move is issued.
-  double imbalance_threshold = 0.10;
 };
+
+/// Minimum reserved-memory utilization gap (fraction of capacity) between
+/// the most- and least-loaded shard before the planner issues a move.
+inline constexpr double kImbalanceThreshold = 0.10;
 
 struct FederationConfig {
   FederationPlannerConfig planner;
-  /// Rack id per shard: same-rack shard pairs talk over `cross_rack`,
-  /// different racks over `wan`. Empty = every shard its own rack
-  /// (all-WAN). (A shard's internal link — its ClusterConfig::migration —
-  /// is the intra-rack tier.)
-  std::vector<std::uint32_t> racks;
-  LinkModel cross_rack = cross_rack_link();
-  LinkModel wan = wan_link();
 };
 
 /// Where a federation VM currently lives.
@@ -89,7 +85,8 @@ struct FedVmRef {
   cluster::GlobalVmId vm = 0;
 };
 
-/// One completed cross-shard migration. `record.from`/`record.to` carry
+/// One cross-shard migration: in flight from migrate() on, completed once
+/// `record` is filled at the attach. `record.from`/`record.to` carry
 /// federation-global host ids (global_host_id); `record.vm` the FedVmId.
 struct FedMigrationRecord {
   FedVmId vm = 0;
@@ -99,7 +96,6 @@ struct FedMigrationRecord {
   cluster::HostId to_host = 0;        // shard-local
   cluster::GlobalVmId src_vm = 0;     // the VM's id in the source shard (kDeparted)
   cluster::GlobalVmId dst_vm = 0;     // its id in the destination shard
-  LinkKind link = LinkKind::kWan;
   cluster::MigrationRecord record;
 };
 
@@ -118,29 +114,20 @@ class Federation {
   void run_until(common::SimTime until);
 
   /// Starts a cross-shard live migration of `vm` (source-shard id) onto
-  /// `to_host` in `to_shard`, over the pair's link. Same-shard calls
-  /// apply the shard's own migrate command (the intra-rack tier). A
-  /// cross-shard move is refused with the source shard's federation_lock
-  /// verdict (the VM is not running, in a shard flight, or already locked
-  /// by a link flight) or the destination shard's power-on verdict (the
-  /// host crashed). Callable from planner ticks and between run_until
-  /// calls.
+  /// `to_host` in `to_shard`, over the WAN link. Same-shard calls apply
+  /// the shard's own migrate command. A cross-shard move is refused with
+  /// the source shard's federation_lock verdict (the VM is not running,
+  /// in a shard flight, or already locked by a cross-shard flight) or the
+  /// destination shard's power-on verdict (the host crashed). Callable
+  /// from planner ticks and between run_until calls.
   cluster::Outcome migrate(ShardId from_shard, cluster::GlobalVmId vm, ShardId to_shard,
                cluster::HostId to_host);
-
-  /// Re-prices one link at runtime. a == b sets shard a's INTERNAL link
-  /// (a set_link_bandwidth command); a != b sets the pair's federation link,
-  /// re-planning that link's in-flight pre-copies and no other link's —
-  /// the per-link isolation the link tests pin.
-  void set_link_bandwidth(ShardId a, ShardId b, double mb_per_s);
 
   // --- accessors ---
   [[nodiscard]] common::SimTime now() const { return now_; }
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
   [[nodiscard]] cluster::Cluster& shard(ShardId s) { return *shards_.at(s); }
   [[nodiscard]] const cluster::Cluster& shard(ShardId s) const { return *shards_.at(s); }
-  /// The link model a cross-shard pair uses. Throws on a == b.
-  [[nodiscard]] const LinkModel& link(ShardId a, ShardId b) const;
   /// Federation-global host id: shard host-count prefix sum + local id.
   [[nodiscard]] std::uint32_t global_host_id(ShardId shard, cluster::HostId host) const;
   /// Current location of a federation VM.
@@ -173,25 +160,8 @@ class Federation {
   [[nodiscard]] ShardLoad shard_load(ShardId s) const;
 
  private:
-  struct Link {
-    LinkModel model;
-    std::unique_ptr<cluster::MigrationEngine> engine;
-  };
-  struct FedFlight {
-    FedVmId vm = 0;
-    ShardId from_shard = 0;
-    ShardId to_shard = 0;
-    cluster::GlobalVmId src_vm = 0;
-    cluster::GlobalVmId dst_vm = 0;
-    cluster::HostId from_host = 0;
-    cluster::HostId to_host = 0;
-    LinkKind link = LinkKind::kWan;
-    double memory_mb = 0.0;
-  };
-
   void advance_shards(common::SimTime target);
   void planner_tick(common::SimTime now);
-  Link& link_between(ShardId a, ShardId b);
   void on_link_detach(FedVmId vm);
   void on_link_done(FedVmId vm, const cluster::MigrationRecord& record);
 
@@ -204,15 +174,14 @@ class Federation {
   std::vector<FedVmRef> vm_loc_;
   std::vector<std::vector<FedVmId>> local_fed_;
 
-  /// One engine per unordered shard pair (key: a < b), scheduling on the
-  /// federation queue.
-  std::map<std::pair<ShardId, ShardId>, Link> links_;
-  std::map<FedVmId, FedFlight> flights_;  // ordered: deterministic iteration
-  /// Memory in flight toward each shard (admitted kInbound, not yet
-  /// attached) — counted into shard_load so the planner sees it.
-  std::vector<double> pending_in_mb_;
+  /// Flights in progress, keyed by FedVmId (ordered: deterministic
+  /// iteration); each entry becomes a records_ entry at its attach.
+  std::map<FedVmId, FedMigrationRecord> flights_;
 
+  const LinkModel link_ = wan_link();
   sim::EventQueue events_;
+  /// Every cross-shard flight, on the federation queue.
+  cluster::MigrationEngine engine_{link_.migration, events_};
   std::unique_ptr<sim::PeriodicTask> planner_task_;
   std::vector<FedMigrationRecord> records_;
   std::size_t planner_ticks_ = 0;

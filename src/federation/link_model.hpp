@@ -1,13 +1,11 @@
-// Per-link migration cost model for the federation tier.
+// Cross-shard migration cost model for the federation tier.
 //
 // The single-cluster MigrationEngine prices every flight off ONE
-// MigrationConfig — "the" migration link. Across clusters that is wrong in
-// two ways: links differ (an intra-rack 10 GbE, a cross-rack aggregation
-// hop, a WAN circuit are different machines), and the endpoints differ (a
+// MigrationConfig — the shard's own link. A cross-shard move crosses a
+// different machine (a WAN circuit) between endpoints that may differ (a
 // xeon→optiplex move pays costs a same-class move does not). A LinkModel
-// bundles one link's MigrationConfig — fed verbatim into that link's own
-// MigrationEngine, so MigrationEngine::set_link_bandwidth naturally scopes
-// to one link — with the class-aware surcharges applied per flight:
+// bundles that link's MigrationConfig — fed verbatim into the federation's
+// MigrationEngine — with the class-aware surcharges applied per flight:
 //
 //   * cross_class_dirty_factor — a guest moving between different platform
 //     classes redirties faster in transit (page-tracking conversion,
@@ -17,15 +15,9 @@
 //     MigrationEngine::begin's per-flight extra_switch_latency so it
 //     survives bandwidth re-plans.
 //
-// This is the per-hypervisor-migrate split of the migration-framework
-// design: one interface, one implementation parameterization per link
-// tier. The presets are deliberately round numbers — the model prices
-// RELATIVE costs (WAN downtime ≫ intra-rack downtime), not a specific
-// datacenter.
+// The numbers are deliberately round — the model prices RELATIVE costs
+// (WAN downtime ≫ a shard's internal downtime), not a specific datacenter.
 #pragma once
-
-#include <cstdint>
-#include <string>
 
 #include "cluster/migration.hpp"
 #include "common/units.hpp"
@@ -33,16 +25,10 @@
 
 namespace pas::fed {
 
-enum class LinkKind : std::uint8_t { kIntraRack = 0, kCrossRack, kWan };
-
-[[nodiscard]] const char* to_string(LinkKind kind);
-
 struct LinkModel {
-  std::string name = "intra-rack";
-  LinkKind kind = LinkKind::kIntraRack;
   /// The link's pre-copy cost model: bandwidth, stop-copy threshold,
-  /// switch latency, per-MB hypervisor bills. One MigrationEngine per link
-  /// is constructed from exactly this config.
+  /// switch latency, per-MB hypervisor bills. The federation's
+  /// MigrationEngine is constructed from exactly this config.
   cluster::MigrationConfig migration;
   /// Dirty-rate multiplier for flights whose endpoints are different
   /// platform classes (1.0 = class-blind link).
@@ -59,11 +45,7 @@ struct LinkModel {
                                                const platform::HostClass& dst) const;
 };
 
-/// Presets, cheapest to dearest. A shard's internal link (its own
-/// ClusterConfig::migration) is the intra-rack tier; the federation wires
-/// cross_rack between same-rack shards and wan between racks.
-[[nodiscard]] LinkModel intra_rack_link();
-[[nodiscard]] LinkModel cross_rack_link();
+/// The inter-site circuit every cross-shard flight crosses.
 [[nodiscard]] LinkModel wan_link();
 
 }  // namespace pas::fed

@@ -11,10 +11,9 @@ std::unique_ptr<fed::Federation> build_federation(
   if (config.shards == 0)
     throw std::invalid_argument("build_federation: need at least one shard");
 
-  const std::size_t extra =
-      (config.shards > 1 && config.skew) ? config.base.vms / 4 : 0;
-  if (extra > config.base.vms)
-    throw std::invalid_argument("build_federation: skew exceeds shard population");
+  // The skew: base.vms/4 tenants move from the last shard to shard 0 so
+  // the global planner has an imbalance to work on.
+  const std::size_t extra = config.shards > 1 ? config.base.vms / 4 : 0;
 
   std::vector<std::unique_ptr<cluster::Cluster>> shards;
   shards.reserve(config.shards);

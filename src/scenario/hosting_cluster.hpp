@@ -60,10 +60,8 @@ struct HostingClusterConfig {
   /// Class-mixing seed for FleetPreset::kMixed: 0 = the round-robin
   /// catalog preset, anything else draws per-host classes from an Rng.
   std::uint64_t fleet_seed = 0;
-  /// The class behind FleetPreset::kUniform. Memory lives here (it used to
-  /// be a lone host_memory_mb scalar, which could silently contradict a
-  /// mixed class list); the default keeps the historical 8 GB hosts with
-  /// the paper's ladder and power model.
+  /// The class behind FleetPreset::kUniform; the default keeps the
+  /// historical 8 GB hosts with the paper's ladder and power model.
   platform::HostClass uniform_class = default_uniform_class();
   /// Tenant demand model. kTrace assigns each VM a trace from `traces`
   /// (which must then be non-empty), drawn deterministically from

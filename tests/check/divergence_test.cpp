@@ -125,11 +125,11 @@ TEST(DivergenceTest, ShapeMismatchIsReportedNotIndexed) {
 }
 
 TEST(DivergenceTest, FederationLedgerDivergenceNamesTheCrossShardRecord) {
-  scenario::FederationScenarioConfig slow_wan = small_federation();
-  slow_wan.federation.wan.migration.link_mb_per_s /= 2.0;
+  scenario::FederationScenarioConfig eager = small_federation();
+  eager.federation.planner.period = seconds(100);  // default 120 s
   auto a = scenario::build_federation(small_federation());
   auto same = scenario::build_federation(small_federation());
-  auto b = scenario::build_federation(slow_wan);
+  auto b = scenario::build_federation(eager);
   for (fed::Federation* f : {a.get(), same.get(), b.get()}) f->run_until(seconds(600));
   ASSERT_FALSE(a->cross_shard_records().empty()) << "the ledger must be exercised";
   EXPECT_EQ(first_divergence(*a, *same), "");

@@ -13,6 +13,7 @@
 #include "check/divergence.hpp"
 #include "cluster/cluster.hpp"
 #include "cluster/command.hpp"
+#include "platform/host_class.hpp"
 #include "workload/synthetic.hpp"
 
 namespace pas::cluster {
@@ -39,8 +40,9 @@ ClusterVmConfig guest(double memory_mb = 512.0) {
 /// ladder reads.
 std::unique_ptr<Cluster> build_fleet() {
   ClusterConfig cc;
-  cc.host_count = 4;
-  cc.host_memory_mb = 8192.0;
+  platform::HostClass cls{"host"};
+  cls.memory_mb = 8192.0;
+  cc.host_classes = platform::uniform_fleet_classes(4, cls);
   cc.migration.link_mb_per_s = 10.0;  // vm 1's flight outlasts the test
   auto c = std::make_unique<Cluster>(std::move(cc));
   const HostId homes[] = {0, 0, 0, 3, 3, 0, 0};
@@ -60,7 +62,7 @@ std::unique_ptr<Cluster> build_fleet() {
 /// Two hosts, host 1 crashed, nothing in flight.
 std::unique_ptr<Cluster> build_last_host() {
   ClusterConfig cc;
-  cc.host_count = 2;
+  cc.host_classes = platform::uniform_fleet_classes(2, platform::HostClass{"host"});
   auto c = std::make_unique<Cluster>(std::move(cc));
   c->add_vm(guest(), std::make_unique<wl::BusyLoop>(), 0);
   c->run_until(seconds(5));

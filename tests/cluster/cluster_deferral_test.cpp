@@ -55,7 +55,7 @@ constexpr std::size_t kHosts = 5;
 // host 4 holds nothing but its hypervisor agent.
 std::unique_ptr<Cluster> build(Poke poke, bool fast_path, std::size_t threads) {
   ClusterConfig cc;
-  cc.host_count = kHosts;
+  cc.host_classes = platform::uniform_fleet_classes(kHosts, platform::HostClass{"host"});
   cc.host.trace_stride = seconds(1);
   cc.host.event_driven_fast_path = fast_path;
   cc.execution.threads = threads;

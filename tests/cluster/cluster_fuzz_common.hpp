@@ -221,10 +221,9 @@ inline ScenarioSpec draw_scenario(std::uint64_t seed, bool hetero = false,
 inline std::unique_ptr<Cluster> build_cluster(const ScenarioSpec& s, bool fast_path,
                                               std::size_t threads = 1) {
   ClusterConfig cc;
-  if (s.classes.empty())
-    cc.host_count = s.hosts;
-  else
-    cc.host_classes = s.classes;
+  cc.host_classes = s.classes.empty()
+                        ? platform::uniform_fleet_classes(s.hosts, platform::HostClass{"host"})
+                        : s.classes;
   cc.host.trace_stride = s.trace_stride;
   cc.host.monitor_window = s.monitor_window;
   cc.host.event_driven_fast_path = fast_path;

@@ -64,31 +64,10 @@ TEST(ClusterHeteroTest, FastPathIdenticalSeeds0to14) {
   }
 }
 
-// A class list and a uniform scalar must not silently contradict each
-// other: whichever one the caller did NOT mean loses loudly.
+// The class list is the fleet: an empty one is refused.
 TEST(ClusterHeteroTest, RejectsContradictoryUniformScalars) {
-  {
-    ClusterConfig cc;
-    cc.host_classes = platform::mixed_fleet_classes(3);
-    cc.host_count = 2;  // disagrees with the 3-entry list
-    EXPECT_THROW((void)Cluster{std::move(cc)}, std::invalid_argument);
-  }
-  {
-    ClusterConfig cc;
-    cc.host_classes = platform::mixed_fleet_classes(3);
-    cc.host_memory_mb = 8192.0;  // memory belongs to the classes
-    EXPECT_THROW((void)Cluster{std::move(cc)}, std::invalid_argument);
-  }
-  {
-    ClusterConfig cc;  // neither classes nor a host count
-    EXPECT_THROW((void)Cluster{std::move(cc)}, std::invalid_argument);
-  }
-  {
-    ClusterConfig cc;  // consistent: count matches the list
-    cc.host_classes = platform::mixed_fleet_classes(3);
-    cc.host_count = 3;
-    EXPECT_NO_THROW((void)Cluster{std::move(cc)});
-  }
+  ClusterConfig cc;
+  EXPECT_THROW((void)Cluster{std::move(cc)}, std::invalid_argument);
 }
 
 // The per-host classes really land on the hosts: ladders and memory match

@@ -26,7 +26,7 @@ using common::SimTime;
 
 ClusterConfig two_host_config() {
   ClusterConfig cc;
-  cc.host_count = 2;
+  cc.host_classes = platform::uniform_fleet_classes(2, platform::HostClass{"host"});
   cc.host.trace_stride = SimTime{};  // no tracing: pure accounting
   return cc;
 }

@@ -12,6 +12,7 @@
 #include "common/units.hpp"
 #include "control/control_plane.hpp"
 #include "control/task.hpp"
+#include "platform/host_class.hpp"
 #include "workload/synthetic.hpp"
 
 namespace pas::cluster {
@@ -19,7 +20,7 @@ namespace {
 
 Cluster two_host_cluster() {
   ClusterConfig cc;
-  cc.host_count = 2;
+  cc.host_classes = platform::uniform_fleet_classes(2, platform::HostClass{"host"});
   cc.host.trace_stride = common::SimTime{};  // no tracing: pure lifecycle
   return Cluster(cc);
 }

@@ -18,6 +18,7 @@
 #include "control/control_plane.hpp"
 #include "control/task.hpp"
 #include "federation/federation.hpp"
+#include "platform/host_class.hpp"
 #include "workload/synthetic.hpp"
 
 namespace pas::fed {
@@ -40,8 +41,9 @@ ctl::Task task(std::uint64_t id, long at_s, ctl::TaskKind kind, std::uint32_t vm
 /// with a budget of one migration per 60 s period, under `tasks`.
 std::unique_ptr<cluster::Cluster> shard(std::size_t vms, std::vector<ctl::Task> tasks) {
   cluster::ClusterConfig cc;
-  cc.host_count = 2;
-  cc.host_memory_mb = 8192.0;
+  platform::HostClass cls{"host"};
+  cls.memory_mb = 8192.0;
+  cc.host_classes = platform::uniform_fleet_classes(2, cls);
   cc.host.trace_stride = common::SimTime{};
   auto c = std::make_unique<cluster::Cluster>(std::move(cc));
   for (std::size_t i = 0; i < vms; ++i) {

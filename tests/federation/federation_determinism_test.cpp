@@ -81,7 +81,6 @@ TEST(FederationDeterminismTest, SkewedFederationActuallyCrossesLinks) {
   ASSERT_GE(fed->cross_shard_records().size(), 1u);
   EXPECT_GE(fed->moves_issued(), fed->cross_shard_records().size());
   for (const FedMigrationRecord& rec : fed->cross_shard_records()) {
-    EXPECT_EQ(rec.link, LinkKind::kWan) << "empty racks = every pair is WAN";
     EXPECT_EQ(rec.record.outcome, cluster::MigrationOutcome::kCompleted);
     EXPECT_GT(rec.record.downtime, common::SimTime{});
     // Source-side ghost and destination-side guest agree with the ledger
