@@ -163,6 +163,37 @@ void Cluster::complete_inbound(GlobalVmId vm, common::SimTime downtime) {
     sla_.record_window(vm, downtime, 0.0, /*saturated=*/true);
 }
 
+void Cluster::cancel_inbound(GlobalVmId vm) {
+  if (vm >= vm_cfgs_.size()) throw std::invalid_argument("Cluster: bad VM id");
+  if (vm_state_[vm] != VmState::kInbound)
+    throw std::logic_error("Cluster: cancel_inbound on a non-inbound VM");
+  vm_state_[vm] = VmState::kDeparted;
+}
+
+void Cluster::abort_departure(GlobalVmId vm, const MigrationRecord& record) {
+  if (vm >= vm_cfgs_.size()) throw std::invalid_argument("Cluster: bad VM id");
+  const VmState want = record.outcome == MigrationOutcome::kAbortedPrecopy
+                           ? VmState::kRunning
+                           : VmState::kDeparted;
+  if (!record.aborted() || vm_state_[vm] != want)
+    throw std::logic_error("Cluster: abort_departure does not match the VM's state");
+  fed_locked_[vm] = 0;
+  if (record.outcome == MigrationOutcome::kLostSourceCrash) {
+    vm_state_[vm] = VmState::kLost;
+  } else if (record.outcome == MigrationOutcome::kAbortedStopCopy) {
+    vm_state_[vm] = VmState::kRunning;
+    downtime_[vm] += record.downtime;
+    if (record.downtime > common::SimTime{})
+      sla_.record_window(vm, record.downtime, 0.0, /*saturated=*/true);
+  }
+}
+
+void Cluster::install_crash_listener(std::function<void(HostId, common::SimTime)> listener) {
+  if (started_) throw std::logic_error("Cluster: install_crash_listener after run started");
+  if (crash_listener_) throw std::logic_error("Cluster: crash listener already installed");
+  crash_listener_ = std::move(listener);
+}
+
 void Cluster::record_slot(HostId host, GlobalVmId vm, common::VmId slot) {
   auto& hs = host_slots_[host];
   hs.insert(std::lower_bound(hs.begin(), hs.end(), vm,
@@ -454,7 +485,9 @@ void Cluster::crash(HostId host, bool restart_orphans) {
   // Migrations first, residents second: a destination crash then rolls its
   // guest back onto a source that is still intact, and a source crash
   // during pre-copy returns the guest to `host` in time for the resident
-  // sweep below to orphan it like any other resident.
+  // sweep below to orphan it like any other resident. Cross-shard flights
+  // live on the federation's engine; the listener aborts them.
+  if (crash_listener_) crash_listener_(host, now_);
   engine_->abort_host_flights(host, now_);
   hv::Host& h = *hosts_[host];
   // Resident sweep over the host's slot holders, ascending VM id — only

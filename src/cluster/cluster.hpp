@@ -45,7 +45,8 @@
 // Mutation: every state change a running cluster accepts from outside is a
 // Command (cluster/command.hpp) passed to apply(), which decides refusals
 // in one place, check(). The federation hand-off steps (admit_inbound,
-// mark_departed, complete_inbound) stay typed: each has one caller and
+// mark_departed, complete_inbound, and on an aborted flight
+// cancel_inbound and abort_departure) stay typed: each has one caller and
 // throws on misuse.
 //
 // Guest moves: every slot change — stop, crash sweep, start/restart,
@@ -171,7 +172,8 @@ enum class VmState : std::uint8_t {
   /// Handed off to another cluster (federation WAN migration, source side,
   /// from the link's detach on). Terminal within THIS cluster — the guest
   /// lives on in the destination shard; no SLA, no planning, no recovery
-  /// here.
+  /// here. Also the end of an inbound reservation whose flight a crash
+  /// aborted (cancel_inbound): the guest never arrived.
   kDeparted,
 };
 
@@ -251,7 +253,8 @@ class Cluster {
   ///                purchased credit compensated for the host's P-state,
   ///                over an empty balance; no SLA outage charge.
   ///   crash_host — first every migration with the host as an endpoint
-  ///                aborts (so destination-crash rollbacks land on a live
+  ///                aborts, cross-shard flights through the crash listener
+  ///                included (so destination-crash rollbacks land on a live
   ///                source), then every running resident is torn off —
   ///                held kOrphaned for recovery when `restart`, kLost
   ///                otherwise — and the host powers off. A crashed host
@@ -269,7 +272,7 @@ class Cluster {
   ///                so power-on is instantaneous.
   ///   federation_lock — fences the VM for a cross-shard flight: from now
   ///                on migrate and stop_vm refuse it, and only
-  ///                mark_departed releases it.
+  ///                mark_departed or abort_departure releases it.
   Outcome apply(const Command& cmd);
 
   /// Installs the external control plane (optional). Must precede the first
@@ -317,6 +320,28 @@ class Cluster {
   /// window (same contract as an intra-cluster stop-and-copy), and counts
   /// the migration. Throws std::logic_error unless the VM is kInbound.
   void complete_inbound(GlobalVmId vm, common::SimTime downtime);
+
+  /// Destination side of a cross-shard flight a crash aborted: the
+  /// reservation is released, kInbound -> kDeparted (the parked slot keeps
+  /// its IdleGuest; the guest never arrived). Throws std::logic_error
+  /// unless the VM is kInbound.
+  void cancel_inbound(GlobalVmId vm);
+
+  /// Source side of a cross-shard flight a crash aborted, by the record's
+  /// outcome: a pre-copy abort only lifts the federation lock (the guest
+  /// never left); a stop-and-copy rollback re-attached the guest on its
+  /// source slot, so kDeparted -> kRunning with the truncated pause
+  /// charged like complete_inbound's; a source crash in the pause lost the
+  /// guest, kDeparted -> kLost. Throws std::logic_error on any other
+  /// state or outcome.
+  void abort_departure(GlobalVmId vm, const MigrationRecord& record);
+
+  /// Installs the federation's crash listener (at most one, before the
+  /// first run_until). A crash_host calls it with the host and the crash
+  /// instant first — before this cluster's own migration aborts and its
+  /// resident sweep — so a cross-shard flight with an endpoint on the host
+  /// resolves while both shards still hold the guest.
+  void install_crash_listener(std::function<void(HostId, common::SimTime)> listener);
 
   /// Federation transfer lock (a federation_lock command): while set, the
   /// shard's own manager and control paths cannot migrate or stop the VM —
@@ -475,6 +500,8 @@ class Cluster {
   std::unique_ptr<ClusterManager> manager_;
   std::unique_ptr<fault::FaultInjector> injector_;
   std::unique_ptr<ctl::ControlPlane> control_;
+  /// The federation's hook into crash_host; empty outside a federation.
+  std::function<void(HostId, common::SimTime)> crash_listener_;
   /// Pre-start schedule_at hooks, armed (in order) after injector+control.
   std::vector<std::pair<common::SimTime, std::function<void(common::SimTime)>>> hooks_;
 

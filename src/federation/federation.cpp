@@ -29,6 +29,11 @@ Federation::Federation(FederationConfig config,
       local_fed_[s][v] = static_cast<FedVmId>(vm_loc_.size());
       vm_loc_.push_back({s, v});
     }
+    // A shard crash aborts the cross-shard flights touching the host
+    // before the shard sweeps its residents (Cluster::crash).
+    shards_[s]->install_crash_listener([this, s](cluster::HostId h, common::SimTime now) {
+      engine_.abort_host_flights(global_host_id(s, h), now);
+    });
   }
 }
 
@@ -140,11 +145,19 @@ void Federation::on_link_done(FedVmId vm, const cluster::MigrationRecord& record
   FedMigrationRecord f = std::move(it->second);
   flights_.erase(it);
   f.record = record;
-  // The engine's attach already delivered workload + credit into the
-  // destination slot; complete_inbound flips kInbound -> kRunning and
-  // charges the pause.
-  shards_[f.to_shard]->complete_inbound(f.dst_vm, record.downtime);
-  vm_loc_[f.vm] = FedVmRef{f.to_shard, f.dst_vm};
+  if (record.aborted()) {
+    // A crash at either end (the only way a link flight aborts): the
+    // destination drops its reservation, and the source takes the guest
+    // back — or loses it with its crashed host.
+    shards_[f.to_shard]->cancel_inbound(f.dst_vm);
+    shards_[f.from_shard]->abort_departure(f.src_vm, record);
+  } else {
+    // The engine's attach already delivered workload + credit into the
+    // destination slot; complete_inbound flips kInbound -> kRunning and
+    // charges the pause.
+    shards_[f.to_shard]->complete_inbound(f.dst_vm, record.downtime);
+    vm_loc_[f.vm] = FedVmRef{f.to_shard, f.dst_vm};
+  }
   records_.push_back(std::move(f));
 }
 

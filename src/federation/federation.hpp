@@ -34,7 +34,14 @@
 // keep the shard bookkeeping honest: mark_departed at detach,
 // complete_inbound (with the SLA-charged pause) at attach. The source
 // shard's manager is fenced off the VM for the flight's duration by a
-// federation_lock command.
+// federation_lock command. A shard host crash reaches the engine through
+// the shard's crash listener, before the shard's own sweep:
+// abort_host_flights on the host's federation-global id, then
+// cancel_inbound on the destination and abort_departure on the source
+// (unlocked, rolled back, or lost with its host). A rollback onto a
+// source shard other than the crashing one lands at that shard's clock,
+// which is ahead of or behind the crash instant by at most the
+// federation segment in progress — shard-id order, so still deterministic.
 //
 // Planner: each tick reads per-shard aggregates — host memory and running
 // VMs' memory summed over the shard manager's last-planned live set
@@ -85,9 +92,10 @@ struct FedVmRef {
   cluster::GlobalVmId vm = 0;
 };
 
-/// One cross-shard migration: in flight from migrate() on, completed once
-/// `record` is filled at the attach. `record.from`/`record.to` carry
-/// federation-global host ids (global_host_id); `record.vm` the FedVmId.
+/// One cross-shard migration: in flight from migrate() on, ended once
+/// `record` is filled at the attach — or at the crash that aborted it
+/// (record.outcome). `record.from`/`record.to` carry federation-global host
+/// ids (global_host_id); `record.vm` the FedVmId.
 struct FedMigrationRecord {
   FedVmId vm = 0;
   ShardId from_shard = 0;
@@ -137,7 +145,9 @@ class Federation {
     return flights_.contains(vm);
   }
   [[nodiscard]] std::size_t cross_shard_in_flight() const { return flights_.size(); }
-  /// Completed cross-shard migrations, in completion order.
+  /// Ended cross-shard migrations, in end order: completed ones and those a
+  /// shard host crash aborted (record.aborted()). An aborted flight leaves
+  /// the VM located on its source shard.
   [[nodiscard]] const std::vector<FedMigrationRecord>& cross_shard_records() const {
     return records_;
   }

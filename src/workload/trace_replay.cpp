@@ -27,17 +27,16 @@ std::string cell6(double v) {
 
 }  // namespace
 
-Trace::Trace(std::vector<TracePoint> points, std::string name)
-    : points_(std::move(points)), name_(std::move(name)) {
-  if (points_.empty())
+Trace::Trace(std::vector<TracePoint> points, std::string name) : name_(std::move(name)) {
+  if (points.empty())
     throw std::invalid_argument("Trace '" + name_ + "': no points (empty trace)");
-  for (std::size_t i = 0; i < points_.size(); ++i) {
-    const TracePoint& p = points_[i];
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const TracePoint& p = points[i];
     if (p.t.us() < 0) invalid(name_, i, "negative timestamp");
-    if (i > 0 && !(points_[i - 1].t < p.t))
+    if (i > 0 && !(points[i - 1].t < p.t))
       invalid(name_, i, "timestamps must strictly increase (" +
                             common::to_string(p.t) + " after " +
-                            common::to_string(points_[i - 1].t) + ")");
+                            common::to_string(points[i - 1].t) + ")");
     if (!(p.demand_pct >= 0.0) || !std::isfinite(p.demand_pct))
       invalid(name_, i, "demand_pct must be finite and non-negative");
     if (!(p.memory_mb >= 0.0) || !std::isfinite(p.memory_mb))
@@ -46,21 +45,23 @@ Trace::Trace(std::vector<TracePoint> points, std::string name)
     peak_demand_ = std::max(peak_demand_, p.demand_pct);
     peak_memory_ = std::max(peak_memory_, p.memory_mb);
   }
-  if (points_.back().demand_pct != 0.0)
-    invalid(name_, points_.size() - 1,
+  if (points.back().demand_pct != 0.0)
+    invalid(name_, points.size() - 1,
             "final demand must be 0 (the last point closes the trace)");
-  for (std::size_t i = 0; i < points_.size(); ++i) total_work_ += interval_work(i);
+  points_ = std::make_shared<const std::vector<TracePoint>>(std::move(points));
+  for (std::size_t i = 0; i < points_->size(); ++i) total_work_ += interval_work(i);
 }
 
 common::Work Trace::interval_work(std::size_t i) const {
-  if (i + 1 >= points_.size()) return common::Work{};
-  const double span_us = static_cast<double>((points_[i + 1].t - points_[i].t).us());
-  return common::Work{points_[i].demand_pct / 100.0 * span_us};
+  const std::vector<TracePoint>& points = *points_;
+  if (i + 1 >= points.size()) return common::Work{};
+  const double span_us = static_cast<double>((points[i + 1].t - points[i].t).us());
+  return common::Work{points[i].demand_pct / 100.0 * span_us};
 }
 
 double Trace::demand_pct_at(common::SimTime t) const {
   double v = 0.0;
-  for (const TracePoint& p : points_) {
+  for (const TracePoint& p : *points_) {
     if (p.t <= t)
       v = p.demand_pct;
     else
@@ -143,7 +144,7 @@ std::vector<Trace> Trace::load_dir(const std::string& dir) {
 std::string Trace::to_csv() const {
   std::string out = has_memory_ ? "t_sec,demand_pct,memory_mb" : "t_sec,demand_pct";
   out += '\n';
-  for (const TracePoint& p : points_) {
+  for (const TracePoint& p : *points_) {
     out += cell6(static_cast<double>(p.t.us()) / 1e6);
     out += ',';
     out += cell6(p.demand_pct);
@@ -165,9 +166,9 @@ void Trace::save(const std::string& path) const {
 double quantize_demand_pct(double pct) { return std::round(pct * 1e6) / 1e6; }
 
 TraceReplay::TraceReplay(Trace trace) : trace_(std::move(trace)) {
-  work_end_idx_ = 0;
-  for (std::size_t i = 0; i + 1 < trace_.points().size(); ++i)
-    if (trace_.interval_work(i) > common::Work{}) work_end_idx_ = i + 1;
+  work_end_idx_ = trace_.points().size() - 1;  // the final point delivers nothing
+  while (work_end_idx_ > 0 && !(trace_.interval_work(work_end_idx_ - 1) > common::Work{}))
+    --work_end_idx_;
 }
 
 void TraceReplay::advance_to(common::SimTime now) {
@@ -192,11 +193,14 @@ common::SimTime TraceReplay::next_transition_time(common::SimTime /*now*/) {
   // point delivers work; zero-demand points are skipped so an idle gap is
   // one jump. (While runnable, pending can only grow — but a conservative
   // early hint is always legal, and the host only consults the hint when
-  // the VM idles.)
+  // the VM idles.) The trace is immutable, so a zero-demand point the
+  // cursor has passed stays zero-demand: the cursor never moves back, and
+  // the scan costs O(points) over the whole replay, not per call.
   const auto& points = trace_.points();
-  for (std::size_t i = next_idx_; i + 1 < points.size(); ++i)
-    if (trace_.interval_work(i) > common::Work{}) return points[i].t;
-  return kNoTransition;
+  hint_idx_ = std::max(hint_idx_, next_idx_);
+  while (hint_idx_ + 1 < points.size() && !(trace_.interval_work(hint_idx_) > common::Work{}))
+    ++hint_idx_;
+  return hint_idx_ + 1 < points.size() ? points[hint_idx_].t : kNoTransition;
 }
 
 }  // namespace pas::wl

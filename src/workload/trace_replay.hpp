@@ -27,9 +27,17 @@
 // Serialization resolution is 1e-6 (microsecond timestamps, micro-percent
 // demands): save() and load() round-trip exactly for traces on that grid,
 // which everything the exporter emits is.
+//
+// Storage is shared: a Trace's validated points live in one immutable
+// array that every copy references, so a fleet of N tenants replaying K
+// distinct traces holds K arrays, not N. A replay's hint keeps a monotone
+// cursor over that array, so next_transition_time costs amortized O(1)
+// per call across the whole replay rather than a rescan of every
+// zero-demand point ahead.
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -51,7 +59,8 @@ struct TracePoint {
 
 /// A validated, immutable demand series. Construction (from memory or a
 /// file) enforces the format invariants so every consumer — TraceReplay,
-/// the scenario builder, the bench — can trust the shape.
+/// the scenario builder, the bench — can trust the shape. Copies share
+/// one point array; equality compares points and name by value.
 class Trace {
  public:
   /// Validates and adopts `points`: non-empty, strictly increasing
@@ -78,7 +87,7 @@ class Trace {
   [[nodiscard]] std::string to_csv() const;
   void save(const std::string& path) const;
 
-  [[nodiscard]] const std::vector<TracePoint>& points() const { return points_; }
+  [[nodiscard]] const std::vector<TracePoint>& points() const { return *points_; }
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] bool has_memory() const { return has_memory_; }
   /// Demand step value at `t` (0 before the first point and from the last
@@ -91,12 +100,14 @@ class Trace {
   [[nodiscard]] double peak_demand_pct() const { return peak_demand_; }
   [[nodiscard]] double peak_memory_mb() const { return peak_memory_; }
   /// Timestamp of the final (demand-0) point: the replay is idle from here.
-  [[nodiscard]] common::SimTime end_time() const { return points_.back().t; }
+  [[nodiscard]] common::SimTime end_time() const { return points_->back().t; }
 
-  bool operator==(const Trace&) const = default;
+  bool operator==(const Trace& o) const {
+    return (points_ == o.points_ || *points_ == *o.points_) && name_ == o.name_;
+  }
 
  private:
-  std::vector<TracePoint> points_;
+  std::shared_ptr<const std::vector<TracePoint>> points_;
   std::string name_;
   bool has_memory_ = false;
   common::Work total_work_{};
@@ -141,6 +152,7 @@ class TraceReplay final : public Workload {
  private:
   Trace trace_;
   std::size_t next_idx_ = 0;   // first point not yet delivered
+  std::size_t hint_idx_ = 0;   // hint cursor: [next_idx_, hint_idx_) delivers no work
   std::size_t work_end_idx_;   // 1 + index of the last work-delivering point
   common::Work pending_{};
   common::Work delivered_{};

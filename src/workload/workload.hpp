@@ -54,8 +54,16 @@ class Workload {
   /// instant. kNoTransition means "never"; returning `now` (or any earlier
   /// time) means "unknown", which makes the host re-poll every quantum —
   /// always safe, never wrong. The bound may be conservative (early), never
-  /// late. Non-const because open-loop generators may pre-draw their next
-  /// arrival to answer (the draw order is unchanged, so determinism holds).
+  /// late. Non-const because the call may have effects: open-loop
+  /// generators (WebApp) pre-draw their next arrival to answer, and
+  /// TraceReplay advances a hint cursor. The host therefore re-asks after
+  /// every consume, every notify_workload_changed and every expired hint,
+  /// and may not elide the call as redundant — not even for a VM that
+  /// stays runnable under an unexpired hint: that hint may belong to the
+  /// slot's previous workload (a migration attach), and a gate that
+  /// closes while the VM waits over its cap would go unseen.
+  /// tests/hypervisor/host_fastpath_test.cpp pins this
+  /// (GuestAttachedRunnableRePollsItsHint).
   [[nodiscard]] virtual common::SimTime next_transition_time(common::SimTime now) {
     return now;  // unknown: the host re-polls every quantum
   }

@@ -4,7 +4,9 @@
 // the attach — the shard's control plane must refuse every command on it
 // with a reason that names the federation, and must refuse it BEFORE the
 // manager's admission: a refused command draws nothing from the per-tick
-// migration budget that planner and operator share.
+// migration budget that planner and operator share. And a shard host crash
+// at either end of such a flight must reach it: the flight aborts, both
+// shards settle their books, and no guest lands on a dead host.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -14,10 +16,12 @@
 
 #include "cluster/cluster.hpp"
 #include "cluster/cluster_manager.hpp"
+#include "cluster/migration.hpp"
 #include "common/units.hpp"
 #include "control/control_plane.hpp"
 #include "control/task.hpp"
 #include "federation/federation.hpp"
+#include "federation/link_model.hpp"
 #include "platform/host_class.hpp"
 #include "workload/synthetic.hpp"
 
@@ -126,6 +130,103 @@ TEST(FederationControlTest, FederationOwnedVmsAreRefusedBeforeAdmission) {
       "2 rejected: vm 1 inbound from another shard",
   };
   EXPECT_EQ(verdicts(fed.shard(1)), expected_destination);
+}
+
+/// Two idle shards (two guests on shard 0, one on shard 1); vm 0 of shard 0
+/// pre-copies to shard 1 host 1 from t=105 (512 MB over the WAN: in flight
+/// until ~115 s), and the run stops at `stop_at`: 110 s is mid-pre-copy.
+std::unique_ptr<Federation> federation_mid_flight(common::SimTime stop_at = seconds(110)) {
+  std::vector<std::unique_ptr<cluster::Cluster>> shards;
+  shards.push_back(shard(2, {}));
+  shards.push_back(shard(1, {}));
+  FederationConfig fc;
+  fc.planner.period = seconds(100000);  // no global moves but the test's own
+  auto fed = std::make_unique<Federation>(fc, std::move(shards));
+  fed->run_until(seconds(105));
+  EXPECT_TRUE(fed->migrate(0, 0, 1, 1).ok());
+  fed->run_until(stop_at);
+  EXPECT_TRUE(fed->in_cross_shard_flight(0));
+  return fed;
+}
+
+/// The same flight stopped 1 µs into its stop-and-copy pause: the source
+/// slot is drained and the guest exists only on the wire.
+std::unique_ptr<Federation> federation_in_pause() {
+  const cluster::MigrationPlan plan =
+      cluster::plan_migration(512.0, cluster::ClusterVmConfig{}.dirty_mb_per_s,
+                              wan_link().migration);
+  auto fed = federation_mid_flight(seconds(105) + plan.precopy_duration + common::usec(1));
+  EXPECT_EQ(fed->shard(0).vm_state(0), cluster::VmState::kDeparted);
+  return fed;
+}
+
+TEST(FederationControlTest, SourceCrashAbortsTheCrossShardFlight) {
+  auto fed = federation_mid_flight();
+  ASSERT_TRUE(fed->shard(0).apply(cluster::Command::crash_host(0, true)).ok());
+  EXPECT_FALSE(fed->in_cross_shard_flight(0));
+  ASSERT_NO_THROW(fed->run_until(seconds(300)));
+
+  // The flight ended as a pre-copy abort; the guest never left shard 0,
+  // where the crash orphaned it, unlocked, for the shard's own recovery.
+  ASSERT_EQ(fed->cross_shard_records().size(), 1u);
+  EXPECT_EQ(fed->cross_shard_records().front().record.outcome,
+            cluster::MigrationOutcome::kAbortedPrecopy);
+  EXPECT_EQ(fed->locate(0).shard, 0u);
+  EXPECT_FALSE(fed->shard(0).federation_locked(0));
+  EXPECT_EQ(fed->shard(0).vm_state(0), cluster::VmState::kRunning);  // restarted
+  EXPECT_EQ(fed->shard(0).residence(0), 1u);
+  // The destination's reservation is released.
+  EXPECT_EQ(fed->shard(1).vm_state(1), cluster::VmState::kDeparted);
+}
+
+TEST(FederationControlTest, DestinationCrashKeepsTheGuestOnItsSource) {
+  auto fed = federation_mid_flight();
+  ASSERT_TRUE(fed->shard(1).apply(cluster::Command::crash_host(1, true)).ok());
+  fed->run_until(seconds(300));
+
+  ASSERT_EQ(fed->cross_shard_records().size(), 1u);
+  EXPECT_EQ(fed->cross_shard_records().front().record.outcome,
+            cluster::MigrationOutcome::kAbortedPrecopy);
+  // Nothing lands on the dead host: the guest runs on, unlocked, at home.
+  EXPECT_EQ(fed->shard(1).vm_state(1), cluster::VmState::kDeparted);
+  EXPECT_FALSE(fed->shard(1).powered_on(1));
+  EXPECT_EQ(fed->locate(0).shard, 0u);
+  EXPECT_EQ(fed->shard(0).vm_state(0), cluster::VmState::kRunning);
+  EXPECT_EQ(fed->shard(0).residence(0), 0u);
+  EXPECT_FALSE(fed->shard(0).federation_locked(0));
+  // Free again: the federation may move it to the surviving host.
+  EXPECT_TRUE(fed->migrate(0, 0, 1, 0).ok());
+}
+
+TEST(FederationControlTest, SourceCrashInThePauseLosesTheGuest) {
+  auto fed = federation_in_pause();
+  ASSERT_TRUE(fed->shard(0).apply(cluster::Command::crash_host(0, true)).ok());
+  ASSERT_NO_THROW(fed->run_until(seconds(300)));
+
+  ASSERT_EQ(fed->cross_shard_records().size(), 1u);
+  EXPECT_EQ(fed->cross_shard_records().front().record.outcome,
+            cluster::MigrationOutcome::kLostSourceCrash);
+  EXPECT_EQ(fed->shard(0).vm_state(0), cluster::VmState::kLost);
+  EXPECT_EQ(fed->shard(1).vm_state(1), cluster::VmState::kDeparted);
+  EXPECT_EQ(fed->shard(0).lost_vm_count() + fed->shard(1).lost_vm_count(), 1u);
+}
+
+TEST(FederationControlTest, DestinationCrashInThePauseRollsTheGuestBack) {
+  auto fed = federation_in_pause();
+  ASSERT_TRUE(fed->shard(1).apply(cluster::Command::crash_host(1, true)).ok());
+  fed->run_until(seconds(300));
+
+  ASSERT_EQ(fed->cross_shard_records().size(), 1u);
+  const cluster::MigrationRecord& rec = fed->cross_shard_records().front().record;
+  EXPECT_EQ(rec.outcome, cluster::MigrationOutcome::kAbortedStopCopy);
+  EXPECT_EQ(rec.downtime, common::usec(1));
+  // Back on its source slot, running, with the truncated pause charged.
+  EXPECT_EQ(fed->shard(0).vm_state(0), cluster::VmState::kRunning);
+  EXPECT_EQ(fed->shard(0).residence(0), 0u);
+  EXPECT_FALSE(fed->shard(0).federation_locked(0));
+  EXPECT_EQ(fed->shard(0).vm_stats(0).downtime, common::usec(1));
+  EXPECT_EQ(fed->shard(1).vm_state(1), cluster::VmState::kDeparted);
+  EXPECT_FALSE(fed->shard(1).powered_on(1));
 }
 
 }  // namespace

@@ -446,5 +446,35 @@ TEST(HostFastPathTest, ControllerTickSharingRefillInstantIdentical) {
   EXPECT_GT(expect_modes_identical(build, {seconds(15)}).fast->refills_collapsed(), 0u);
 }
 
+TEST(HostFastPathTest, GuestAttachedRunnableRePollsItsHint) {
+  // A guest handed onto a slot (a migration's attach) arrives runnable
+  // while the slot still caches the parked IdleGuest's "never" hint. The
+  // fast path must ask the new workload for its hint although it stays
+  // runnable: the gate closes at an off-grid instant while the guest sits
+  // over its 5 % cap, and a host that kept the stale hint would carry it
+  // as runnable past the close, where the reference loop has seen it
+  // block. (Skipping next_transition_time for a VM that stays runnable
+  // under an unexpired hint fails here.)
+  auto build = [](bool fast_path) {
+    HostConfig hc;
+    hc.trace_stride = common::msec(100);
+    hc.event_driven_fast_path = fast_path;
+    auto host = std::make_unique<Host>(hc, std::make_unique<sched::CreditScheduler>());
+    host->add_vm(capped("hog", 50.0), std::make_unique<wl::BusyLoop>());
+    host->add_vm(capped("arrival", 5.0), std::make_unique<wl::IdleGuest>());
+    return host;
+  };
+  ModeRuns runs{build(/*fast_path=*/false), build(/*fast_path=*/true)};
+  for (Host* host : {runs.slow.get(), runs.fast.get()}) {
+    host->run_until(seconds(2));
+    host->attach_guest(1,
+                       std::make_unique<wl::GatedBusyLoop>(wl::LoadProfile::pulse(
+                           seconds(1), seconds(4) + common::usec(5'003), 1.0)),
+                       SimTime{});
+    host->run_until(seconds(8));
+  }
+  EXPECT_EQ(check::first_divergence(*runs.slow, *runs.fast), "");
+}
+
 }  // namespace
 }  // namespace pas::hv

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "check/divergence.hpp"
+#include "common/random.hpp"
 #include "hypervisor/host.hpp"
 #include "sched/credit_scheduler.hpp"
 
@@ -139,6 +140,27 @@ TEST(TraceTest, LoadDirSortsByFilenameAndRejectsEmpty) {
   EXPECT_THROW((void)Trace::load_dir(dir), std::runtime_error);
 }
 
+// --- Shared storage -------------------------------------------------------
+
+TEST(TraceTest, CopiesShareOnePointArrayAndCompareByValue) {
+  const Trace original{ramp_points(), "ramp"};
+  const Trace copy = original;
+  EXPECT_EQ(copy.points().data(), original.points().data());
+  EXPECT_EQ(copy, original);
+  // A replay holds a copy of the trace, not of its points.
+  const TraceReplay replay{original};
+  EXPECT_EQ(replay.trace().points().data(), original.points().data());
+  // Equality is by value: separately built traces with the same points
+  // and name are equal; a different name or point is not.
+  const Trace rebuilt{ramp_points(), "ramp"};
+  EXPECT_NE(rebuilt.points().data(), original.points().data());
+  EXPECT_EQ(rebuilt, original);
+  EXPECT_NE(Trace(ramp_points(), "other"), original);
+  std::vector<TracePoint> changed = ramp_points();
+  changed[1].demand_pct = 51.0;
+  EXPECT_NE(Trace(changed, "ramp"), original);
+}
+
 // --- TraceReplay semantics ------------------------------------------------
 
 TEST(TraceReplayTest, DeliversIntervalBatchesAndDrains) {
@@ -178,6 +200,69 @@ TEST(TraceReplayTest, TransitionHintSkipsZeroDemandGaps) {
   EXPECT_EQ(w.next_transition_time(seconds(10)), seconds(30));
   w.advance_to(seconds(30));
   EXPECT_EQ(w.next_transition_time(seconds(30)), kNoTransition);
+}
+
+// --- The hint cursor against a naive rescan -------------------------------
+
+/// A random trace of `n` points, 1-5 s apart, mostly zero-demand runs of up
+/// to 15 points between work-delivering ones; the final point closes it.
+Trace random_sparse_trace(common::Rng& rng, std::size_t n) {
+  std::vector<TracePoint> points;
+  SimTime t = usec(static_cast<std::int64_t>(rng.next_below(3'000'000)));
+  std::size_t zero_run = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    double demand = 0.0;
+    if (zero_run > 0) {
+      --zero_run;
+    } else if (rng.chance(0.3)) {
+      zero_run = rng.next_below(16);
+    } else {
+      demand = rng.uniform(0.5, 100.0);
+    }
+    points.push_back({t, i + 1 == n ? 0.0 : demand, 0.0});
+    t += usec(1'000'000 + static_cast<std::int64_t>(rng.next_below(4'000'000)));
+  }
+  return Trace{std::move(points), "random"};
+}
+
+/// The hint by definition: the first not-yet-delivered point (t > the last
+/// advance_to instant) that delivers work, rescanned from scratch.
+SimTime rescan_hint(const Trace& trace, SimTime advanced, bool ever_advanced) {
+  const auto& points = trace.points();
+  for (std::size_t i = 0; i + 1 < points.size(); ++i) {
+    if (ever_advanced && points[i].t <= advanced) continue;
+    if (trace.interval_work(i) > Work{}) return points[i].t;
+  }
+  return kNoTransition;
+}
+
+TEST(TraceReplayTest, HintCursorMatchesANaiveRescan) {
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    common::Rng rng{seed};
+    const Trace trace = random_sparse_trace(rng, 1 + rng.next_below(60));
+    TraceReplay w{trace};
+    SimTime now{};
+    bool advanced = false;
+    std::size_t checks = 0;
+    // Past the end by up to a few points' worth: calls after the last
+    // point must keep answering kNoTransition.
+    while (now <= trace.end_time() + seconds(12)) {
+      const std::size_t calls = rng.next_below(4);  // 0..3 hint calls in a row
+      for (std::size_t c = 0; c < calls; ++c, ++checks)
+        ASSERT_EQ(w.next_transition_time(now), rescan_hint(trace, now, advanced))
+            << "seed " << seed << " at " << now.us() << " us";
+      // Short steps inside an interval, or leaps past several points.
+      const std::int64_t step = rng.chance(0.2)
+                                    ? static_cast<std::int64_t>(rng.next_below(25'000'000))
+                                    : static_cast<std::int64_t>(rng.next_below(1'500'000));
+      now += usec(step);
+      w.advance_to(now);
+      advanced = true;
+      (void)w.consume(now, common::mf_seconds(rng.uniform(0.0, 2.0)));
+    }
+    ASSERT_EQ(w.next_transition_time(now), kNoTransition) << "seed " << seed;
+    ASSERT_GT(checks, 0u) << "seed " << seed;
+  }
 }
 
 TEST(TraceReplayTest, UnservedDemandAccumulatesAsBacklog) {
